@@ -8,8 +8,7 @@
 //! achieved throughput, the service's own metrics, and a comparison against
 //! naive per-request full-catalog scoring.
 //!
-//! `--workers` sizes the scorer worker pool and `--shards` the item
-//! sharding of each scoring pass (both default to 1, the PR 2 baseline).
+//! `--workers` sizes the scorer worker pool (default 1).
 //! `--fold-in N` additionally performs N **incremental delta publishes**
 //! mid-load: each one genuinely solves a batch of users' normal equations
 //! directly against the serving snapshot's item *segments*
@@ -63,14 +62,14 @@
 //! usage: serve_load_gen [--users N] [--items N] [--f F] [--requests N]
 //!                       [--clients N] [--k K] [--publishes N] [--fold-in N]
 //!                       [--stream N] [--stream-mode fold-in|sgd]
-//!                       [--naive-sample N] [--workers N] [--shards N]
+//!                       [--naive-sample N] [--workers N]
 //!                       [--recall FLOOR] [--approx-epsilon EPS]
 //!                       [--precision f32|f16|i8]
 //!                       [--metrics-json PATH] [--trace-jsonl PATH]
 //! ```
 //!
-//! CI runs `--requests 200 --workers 4 --shards 4 --fold-in 2 --stream 96
-//! --recall 0.95` as an end-to-end smoke test of the sharded-pool serving
+//! CI runs `--requests 200 --workers 4 --fold-in 2 --stream 96
+//! --recall 0.95` as an end-to-end smoke test of the worker-pool serving
 //! path, the incremental fold-in → delta-publish path, the closed online
 //! loop with its freshness histogram, and the approximate-retrieval recall
 //! floor.
@@ -124,7 +123,6 @@ struct Args {
     stream_mode: StreamMode,
     naive_sample: usize,
     workers: usize,
-    shards: usize,
     /// Mean-recall floor for the post-load approximate gate (`None` skips
     /// the gate entirely).
     recall: Option<f64>,
@@ -154,7 +152,6 @@ impl Default for Args {
             stream_mode: StreamMode::FoldIn,
             naive_sample: 50,
             workers: 1,
-            shards: 1,
             recall: None,
             approx_epsilon: DEFAULT_APPROX_EPSILON,
             precision: Precision::F32,
@@ -175,7 +172,7 @@ fn parse_args() -> Args {
                 "usage: serve_load_gen [--users N] [--items N] [--f F] [--requests N] \
                  [--clients N] [--k K] [--publishes N] [--fold-in N] [--stream N] \
                  [--stream-mode fold-in|sgd] [--naive-sample N] \
-                 [--workers N] [--shards N] [--recall FLOOR] [--approx-epsilon EPS] \
+                 [--workers N] [--recall FLOOR] [--approx-epsilon EPS] \
                  [--precision f32|f16|i8] [--metrics-json PATH] [--trace-jsonl PATH]"
             );
             std::process::exit(0);
@@ -210,7 +207,6 @@ fn parse_args() -> Args {
             }
             "--naive-sample" => args.naive_sample = int(raw),
             "--workers" => args.workers = int(raw).max(1),
-            "--shards" => args.shards = int(raw).max(1),
             "--recall" => {
                 let floor = float(raw);
                 assert!(
@@ -251,7 +247,7 @@ fn main() {
     let args = parse_args();
     println!(
         "serve_load_gen: {} requests, {} clients, catalog {} items, {} users, f={}, k={}, \
-         {} workers, {} item shards, {} item segments",
+         {} workers, {} item precision",
         args.requests,
         args.clients,
         args.items,
@@ -259,7 +255,6 @@ fn main() {
         args.f,
         args.k,
         args.workers,
-        args.shards,
         args.precision,
     );
 
@@ -292,7 +287,6 @@ fn main() {
         initial,
         ServeConfig {
             workers: args.workers,
-            shards: args.shards,
             precision: args.precision,
             ..Default::default()
         },
@@ -605,18 +599,8 @@ fn main() {
         let queries: Vec<Query> = (0..128)
             .map(|_| Query::new(skewed_user(&mut rng, args.users), args.k))
             .collect();
-        let truth = TopKIndex::with_shards(
-            Arc::clone(&exact_snap),
-            config.item_block,
-            config.score,
-            args.shards,
-        );
-        let quant = TopKIndex::with_shards(
-            Arc::clone(&snap),
-            config.item_block,
-            config.score,
-            args.shards,
-        );
+        let truth = TopKIndex::new(Arc::clone(&exact_snap), config.item_block, config.score);
+        let quant = TopKIndex::new(Arc::clone(&snap), config.item_block, config.score);
         let (want, want_stats) = truth.query_batch_stats(&queries);
         let (got, got_stats) = quant.query_batch_stats(&queries);
         let quant_bytes = got_stats.bytes_scanned;
@@ -686,14 +670,7 @@ fn main() {
             .map(|_| Query::new(skewed_user(&mut rng, args.users), args.k))
             .collect();
         let config = ServeConfig::default();
-        let report = measure_recall(
-            &snap,
-            &queries,
-            config.item_block,
-            config.score,
-            args.shards,
-            &policy,
-        );
+        let report = measure_recall(&snap, &queries, config.item_block, config.score, &policy);
         println!(
             "recall gate (epsilon {:.2}, floor {floor:.2}): {report}",
             args.approx_epsilon
@@ -705,12 +682,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let truth = TopKIndex::with_shards(
-            Arc::clone(&snap),
-            config.item_block,
-            config.score,
-            args.shards,
-        );
+        let truth = TopKIndex::new(Arc::clone(&snap), config.item_block, config.score);
         let client = service.client();
         let mut exact_divergent = 0u64;
         let mut short_approx = 0u64;

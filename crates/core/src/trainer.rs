@@ -435,20 +435,32 @@ impl MatrixFactorizer {
     /// assert!(recs.iter().all(|(item, _)| !seen.contains(item)));
     /// ```
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
+        use cumf_linalg::topk::DEFAULT_ITEM_BLOCK;
+        use cumf_linalg::{block_max_norms, item_norms, PruneStats, ScoreKind, SegmentView};
         let theta = self.theta();
-        let x = self.x();
-        // Single-request snapshot path: the same blocked scoring + bounded
-        // heap the `cumf-serve` batch scorer runs per user, instead of
-        // scoring and sorting the whole catalog.
-        let excluded: std::collections::HashSet<u32> = exclude.iter().copied().collect();
-        cumf_linalg::retrieve_top_k(
-            x.vector(user as usize),
-            theta.data(),
-            theta.rank(),
+        let f = theta.rank();
+        // The one top-k scan the `cumf-serve` tier runs, over Θ as a single
+        // catalog-order segment, instead of scoring and sorting the whole
+        // catalog.
+        let norms = item_norms(theta.data(), f);
+        let block_max = block_max_norms(&norms, DEFAULT_ITEM_BLOCK);
+        let catalog = SegmentView {
+            items: theta.data(),
+            norms: &norms,
+            block_max: &block_max,
+            item_block: DEFAULT_ITEM_BLOCK,
+            first_id: 0,
+            ids: None,
+            pos: None,
+            encoded: None,
+        };
+        let tile = [cumf_linalg::TileQuery {
+            user: self.x().vector(user as usize),
             k,
-            cumf_linalg::topk::DEFAULT_ITEM_BLOCK,
-            |v| excluded.contains(&v),
-        )
+            exclude,
+        }];
+        let mut stats = PruneStats::default();
+        cumf_linalg::scan_top_k(&tile, f, &[catalog], ScoreKind::Dot, None, &mut stats).remove(0)
     }
 }
 

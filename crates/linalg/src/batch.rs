@@ -139,7 +139,7 @@ pub struct SegmentView<'a> {
     /// precision ([`crate::quant::Precision`]).  The blocked scan streams
     /// this slab (decoding tile-by-tile) instead of `items`; `items` stays
     /// the retained **exact** f32 rows that point lookups, fold-in
-    /// Hermitian assembly, and the serving rerank pass read.  `None` = the
+    /// Hermitian assembly, and the scan's rerank pass read.  `None` = the
     /// segment is full-precision and every path reads `items`.
     pub encoded: Option<&'a EncodedSlab>,
 }
@@ -216,9 +216,8 @@ impl<'a> SegmentView<'a> {
 }
 
 /// [`batch_score_block`] addressed through a [`SegmentView`]: scores stored
-/// rows `[start, end)` of the segment for `n_users` users.  This is the
-/// segment-aware entry point the serving tile scorer and the single-user
-/// segmented retrieval share.
+/// rows `[start, end)` of the segment for `n_users` users — the kernel
+/// call behind every full-precision block of [`crate::topk::scan_top_k`].
 pub fn batch_score_segment(
     users: &[f32],
     n_users: usize,
@@ -239,8 +238,8 @@ pub fn batch_score_segment(
     );
 }
 
-/// Four-lane `f32` dot product for retrieval scoring.  Public so the
-/// serving rerank pass can rescore candidates with the *same* accumulation
+/// Four-lane `f32` dot product for retrieval scoring.  Shared with the
+/// scan's rerank pass so it can rescore candidates with the *same* accumulation
 /// order the blocked scan uses — an exact-f32 rescore then reproduces the
 /// scan's score bit-for-bit instead of differing in the last ulp.
 #[inline]

@@ -19,8 +19,8 @@
 //! * [`batch`] — a rayon-parallel batched solver standing in for the
 //!   cuBLAS batched routines, plus the blocked retrieval-time scoring
 //!   kernel ([`batch::batch_score_block`]).
-//! * [`topk`] — bounded-heap top-k selection and the blocked single-request
-//!   retrieval path shared by `recommend()` and the serving subsystem.
+//! * [`topk`] — bounded-heap top-k selection and [`topk::scan_top_k`], the
+//!   one blocked top-k scan that `recommend()` and every serving path call.
 
 #![forbid(unsafe_code)]
 pub mod batch;
@@ -38,7 +38,6 @@ pub use quant::{
     F16_SUBNORMAL_ABS,
 };
 pub use topk::{
-    block_max_norms, item_norms, merge_top_k, retrieve_top_k, retrieve_top_k_pruned,
-    retrieve_top_k_segments, retrieve_top_k_segments_approx, suffix_max_norms, ApproxPolicy,
-    PruneStats, TopK, DEFAULT_APPROX_EPSILON,
+    block_max_norms, item_norms, scan_top_k, suffix_max_norms, ApproxPolicy, PruneStats, ScoreKind,
+    TileQuery, TopK, DEFAULT_APPROX_EPSILON,
 };

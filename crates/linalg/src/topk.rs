@@ -1,20 +1,25 @@
-//! Bounded top-k selection over scored items.
+//! Bounded top-k selection and the one top-k scan.
 //!
 //! Retrieval ranks every candidate item for a user but only ever returns the
 //! `k` best.  Sorting all `n` scores costs `O(n log n)` and materializes the
 //! whole score vector; the bounded min-heap here costs `O(n log k)` with
 //! `O(k)` state, which is what makes blocked scoring over 100k+ item
-//! catalogs cheap.  [`retrieve_top_k`] drives the heap over item blocks via
-//! [`crate::batch::batch_score_block`] — this is the single-request serving
-//! path that both `MatrixFactorizer::recommend` and the `cumf-serve` batch
-//! scorer share.
+//! catalogs cheap.  [`scan_top_k`] drives the heaps over the blocks of a
+//! segmented catalog via [`crate::batch::batch_score_segment`] (or the
+//! quantized [`crate::quant::batch_score_rows_quant`]).  It is the only
+//! place the scan policy lives: the pruning bound, early termination,
+//! quantized decode and rerank, exclusions and the tie-break.
+//! `MatrixFactorizer::recommend`, the `cumf-serve` snapshot's single
+//! request path and its batched index all call it.
 
-use crate::batch::{batch_score_block, batch_score_segment, SegmentView};
+use crate::batch::{batch_score_segment, score_dot, SegmentView};
+use crate::quant::batch_score_rows_quant;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
+use std::time::Instant;
 
-/// Number of items scored per block in [`retrieve_top_k`].  512 vectors of
-/// `f ≤ 128` floats keep the block within L2 while amortizing heap checks.
+/// Default number of items scored per block.  512 vectors of `f ≤ 128`
+/// floats keep the block within L2 while amortizing heap checks.
 pub const DEFAULT_ITEM_BLOCK: usize = 512;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,7 +127,7 @@ impl TopK {
 pub const NORM_BOUND_SLACK: f32 = 1.0 + 1e-3;
 
 /// Per-block maxima of item L2 norms for `item_block`-sized blocks — the
-/// precomputed side of threshold pruning ([`retrieve_top_k_pruned`]): block
+/// precomputed side of threshold pruning ([`scan_top_k`]): block
 /// `b` covers items `[b·item_block, (b+1)·item_block)` and no item in it can
 /// score above `‖x_u‖ · block_max[b]`.
 pub fn block_max_norms(item_norms: &[f32], item_block: usize) -> Vec<f32> {
@@ -153,7 +158,7 @@ pub fn item_norms(items: &[f32], f: usize) -> Vec<f32> {
 /// testable) without changing a single result — pruning is exact either
 /// way.
 ///
-/// Approximate retrieval ([`retrieve_top_k_segments_approx`]) adds a third
+/// Approximate retrieval ([`scan_top_k`] with an [`ApproxPolicy`]) adds a third
 /// outcome: blocks skipped because an [`ApproxPolicy`] **terminated** the
 /// scan early.  Those skips may change results (that is the point of
 /// approximation), so they are counted in their own field — an exact-mode
@@ -178,9 +183,9 @@ pub struct PruneStats {
     /// Candidates rescored against exact f32 rows by a quantized scan's
     /// rerank pass; always 0 on full-precision paths.
     pub rerank_candidates: u64,
-    /// Wall nanoseconds the rerank pass took (filled by the serving tier's
-    /// scorer; 0 when no rerank ran).  Merging sums, so a batch-level value
-    /// is the total rerank time across its tiles.
+    /// Wall nanoseconds the rerank pass took (0 when no rerank ran).
+    /// Merging sums, so a batch-level value is the total rerank time across
+    /// its tiles.
     pub rerank_ns: u64,
 }
 
@@ -342,261 +347,310 @@ pub fn suffix_max_norms(block_max: &[f32]) -> Vec<f32> {
     suffix
 }
 
-/// Blocked, threshold-pruned top-`k` retrieval of one user vector over a
-/// **segmented** item catalog: each [`SegmentView`] is scored block by block
-/// with its own block-max table (segments are block-aligned on their own, so
-/// no kernel call straddles a boundary), stored rows are remapped to global
-/// item ids on the way into one shared [`TopK`] heap, and whole blocks are
-/// skipped exactly as in [`retrieve_top_k_pruned`].
-///
-/// Results are bit-identical to [`retrieve_top_k`] over the equivalent
-/// contiguous catalog-order slab, for any segmentation and any per-segment
-/// permutation — scores depend only on the vectors and the heap tie-break
-/// is a total order on `(score, global id)`.  Dot-product scores only (the
-/// norm bound does not apply to norm-divided scores).
-///
-/// `stats` accumulates the per-block prune/score decisions.
-pub fn retrieve_top_k_segments<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    f: usize,
-    k: usize,
-    segments: &[SegmentView<'_>],
-    mut skip: F,
-    stats: &mut PruneStats,
-) -> Vec<(u32, f32)> {
-    assert!(f > 0, "latent dimension must be positive");
-    assert_eq!(user.len(), f, "user vector length mismatch");
-    if k == 0 {
-        return Vec::new();
-    }
-    let user_norm = crate::blas::norm_sq(user).sqrt();
-    let scratch = segments
-        .iter()
-        .map(|s| s.item_block.min(s.n_items().max(1)))
-        .max()
-        .unwrap_or(1);
-    let mut topk = TopK::new(k);
-    let mut scores = vec![0.0f32; scratch];
-    for seg in segments {
-        seg.validate(f);
-        let n = seg.n_items();
-        for (b, start) in (0..n).step_by(seg.item_block).enumerate() {
-            if let Some(threshold) = topk.threshold() {
-                if user_norm * seg.block_max[b] * NORM_BOUND_SLACK < threshold {
-                    stats.blocks_pruned += 1;
-                    continue;
-                }
-            }
-            stats.blocks_scored += 1;
-            let end = (start + seg.item_block).min(n);
-            let out = &mut scores[..end - start];
-            batch_score_segment(user, 1, seg, start, end, f, out);
-            for (j, &s) in out.iter().enumerate() {
-                let item = seg.global_id(start + j);
-                if !skip(item) {
-                    topk.push(item, s);
-                }
-            }
-        }
-    }
-    topk.into_sorted_vec()
+/// How a candidate item is scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ScoreKind {
+    /// Raw inner product `x_u · θ_v` (predicted rating).
+    #[default]
+    Dot,
+    /// Inner product divided by `‖θ_v‖` — uses the segments' precomputed
+    /// item norms to stop high-norm (popular) items from dominating every
+    /// list.  The user-norm factor is constant per request and cannot
+    /// change the ranking, so it is skipped.  Zero-norm (cold, never
+    /// trained) items score 0.0 rather than being dropped, so a request
+    /// never comes back shorter than `k` just because the catalog has cold
+    /// entries.
+    Cosine,
 }
 
-/// Early-exit variant of [`retrieve_top_k_segments`]: identical blocked,
-/// threshold-pruned scan, but an [`ApproxPolicy`] may end a segment's scan
-/// before the exact bound does.
+/// Users a caller should put in one [`scan_top_k`] tile.  Eight user
+/// vectors of `f ≤ 128` floats fit comfortably in L1 next to the item
+/// block, so each block streamed from memory is scored for all of them.
+pub const SCAN_TILE: usize = 8;
+
+/// Candidate over-fetch multiplier of a scan over quantized segments: the
+/// heaps keep `k · RERANK_FACTOR` candidates so the exact rerank can repair
+/// orderings the codec error perturbed near the `k`-th score.  Scans over
+/// all-f32 segments keep exactly `k`.
+pub const RERANK_FACTOR: usize = 2;
+
+/// One user of a [`scan_top_k`] tile.
+#[derive(Debug, Clone, Copy)]
+pub struct TileQuery<'a> {
+    /// The user's factor vector (`f` floats).
+    pub user: &'a [f32],
+    /// Items wanted; `0` scores nothing and returns an empty list.
+    pub k: usize,
+    /// Global item ids to leave out (typically the user's rated items).
+    pub exclude: &'a [u32],
+}
+
+/// The top-`k` scan: ranks a tile of users (up to [`SCAN_TILE`] of them)
+/// against a segmented item catalog and returns one `(item, score)` list
+/// per user, sorted by score descending with ties broken toward the
+/// smaller item id.  Every retrieval path in the workspace — the batched
+/// serving index, single-request snapshot retrieval and the trainer's
+/// `recommend` — runs through this function.
 ///
-/// Two stop rules, both gated on the heap already holding `k` items:
+/// Each [`SegmentView`] is scored block by block (segments are
+/// block-aligned on their own, so no kernel call straddles a boundary);
+/// every block is streamed once for the whole tile and stored rows are
+/// remapped to global ids on the way into per-user bounded [`TopK`] heaps.
+/// The stored order never changes a score and the heap tie-break is a total
+/// order on `(score, global id)`, so results are bit-identical for any
+/// segmentation, stored permutation, blocking and tile composition.
 ///
-/// * **Epsilon termination** — the scan of a segment stops at the first
-///   block `b` where `‖x_u‖ · suffix_max[b] · NORM_BOUND_SLACK ·
-///   (1 − epsilon) < threshold`; the blocks left behind are counted in
-///   [`PruneStats::blocks_terminated`].  With `epsilon = 0` the rule is
-///   implied by the exact per-block bound on every remaining block, so
-///   results are **bit-identical** to [`retrieve_top_k_segments`] for any
-///   segmentation and any stored order (only the pruned/terminated
-///   classification of the skipped tail may differ).
-/// * **Block budget** — once `policy.max_blocks > 0` blocks have been
-///   scored, further blocks are skipped as terminated.
+/// * **Pruning** — under [`ScoreKind::Dot`], once every heap in the tile
+///   is full, a block whose Cauchy–Schwarz bound
+///   `‖x_u‖ · bound[b] ·` [`NORM_BOUND_SLACK`] is below every heap's
+///   threshold is skipped without touching its factors.  `bound[b]` is the
+///   block's max norm, widened by [`crate::EncodedSlab::err_bound`] on a
+///   quantized segment.  Pruning never changes results.
+/// * **Approximation** — with `Some(policy)` the scan of a segment may also
+///   stop early under the [`ApproxPolicy`] rules (epsilon termination on
+///   the suffix bound, Dot only; the block budget, both score kinds).  Both
+///   engage only once every heap holds its candidates, so lists never come
+///   back short; [`ApproxPolicy::exact`] is bit-identical to `None`.
+/// * **Quantized segments** — a segment carrying an encoded slab is scored
+///   from the decoded slab.  When any segment is encoded the heaps keep
+///   `k ·` [`RERANK_FACTOR`] candidates, and a final pass rescores them
+///   against the segments' exact f32 rows with the same four-lane kernel,
+///   re-sorts, and truncates to `k`.
 ///
-/// Because both rules require a full heap, a request with `k ≥` catalog
-/// size or a zero-norm user vector (threshold pinned at `0`, bound `0`
-/// everywhere, and `0 < 0` is false) degrades to the full exact scan and
-/// always returns complete results.  Dot-product scores only, like the
-/// exact variant.
-pub fn retrieve_top_k_segments_approx<F: FnMut(u32) -> bool>(
-    user: &[f32],
+/// `stats` accumulates block decisions, bytes streamed (encoded bytes for
+/// quantized blocks, plus the exact rows the rerank re-reads), rerank
+/// candidates and rerank time.
+///
+/// # Panics
+/// Panics if a user vector is not `f` long, a segment view is inconsistent
+/// for rank `f`, or the policy is invalid.
+pub fn scan_top_k(
+    tile: &[TileQuery<'_>],
     f: usize,
-    k: usize,
     segments: &[SegmentView<'_>],
-    mut skip: F,
-    policy: &ApproxPolicy,
+    score: ScoreKind,
+    approx: Option<&ApproxPolicy>,
     stats: &mut PruneStats,
-) -> Vec<(u32, f32)> {
+) -> Vec<Vec<(u32, f32)>> {
     assert!(f > 0, "latent dimension must be positive");
-    assert_eq!(user.len(), f, "user vector length mismatch");
-    policy.validate();
-    if k == 0 {
-        return Vec::new();
+    if let Some(policy) = approx {
+        policy.validate();
     }
-    let user_norm = crate::blas::norm_sq(user).sqrt();
-    let term_slack = policy.termination_slack();
-    let scratch = segments
+    let quantized = segments.iter().any(|s| s.encoded.is_some());
+    let over_fetch = if quantized { RERANK_FACTOR } else { 1 };
+    // Gather the tile into one contiguous (tile × f) operand for the block
+    // kernel.
+    let mut users = Vec::with_capacity(tile.len() * f);
+    for q in tile {
+        assert_eq!(q.user.len(), f, "user vector length mismatch");
+        users.extend_from_slice(q.user);
+    }
+    let user_norms: Vec<f32> = tile
+        .iter()
+        .map(|q| crate::blas::norm_sq(q.user).sqrt())
+        .collect();
+    let excluded: Vec<HashSet<u32>> = tile
+        .iter()
+        .map(|q| q.exclude.iter().copied().collect())
+        .collect();
+    let mut heaps: Vec<Option<TopK>> = tile
+        .iter()
+        .map(|q| (q.k > 0).then(|| TopK::new(q.k * over_fetch)))
+        .collect();
+
+    let max_block = segments
         .iter()
         .map(|s| s.item_block.min(s.n_items().max(1)))
         .max()
         .unwrap_or(1);
-    let mut topk = TopK::new(k);
-    let mut scores = vec![0.0f32; scratch];
+    let mut scores = vec![0.0f32; tile.len() * max_block];
+    let mut dequant = Vec::new();
     let mut scored_blocks = 0usize;
+    let term_slack = approx.map(ApproxPolicy::termination_slack);
+    let block_budget = approx.map_or(0, |p| p.max_blocks);
     for seg in segments {
         seg.validate(f);
         let n = seg.n_items();
-        let n_blocks = n.div_ceil(seg.item_block.max(1));
-        let suffix = suffix_max_norms(seg.block_max);
-        for (b, start) in (0..n).step_by(seg.item_block).enumerate() {
-            if let Some(threshold) = topk.threshold() {
-                if user_norm * suffix[b] * term_slack < threshold {
-                    stats.blocks_terminated += (n_blocks - b) as u64;
-                    break;
+        let n_blocks = seg.block_max.len();
+        // Pruning bound per block.  On a quantized segment `block_max`
+        // describes the decoded rows while an exact row may be up to the
+        // codec's error bound longer; folding that error in keeps every
+        // skip admissible against exact scores.
+        let bound = |b: usize| {
+            let m = seg.block_max[b];
+            match seg.encoded {
+                Some(slab) => {
+                    let start = b * seg.item_block;
+                    m + slab.err_bound(start, (start + seg.item_block).min(n), m)
                 }
-                if user_norm * seg.block_max[b] * NORM_BOUND_SLACK < threshold {
+                None => m,
+            }
+        };
+        // Running maxima of the bound to the segment's end: the stop rule
+        // compares against these, so terminating is safe in any stored
+        // order.
+        let bound_suffix = match (score, term_slack) {
+            (ScoreKind::Dot, Some(_)) => {
+                suffix_max_norms(&(0..n_blocks).map(bound).collect::<Vec<_>>())
+            }
+            _ => Vec::new(),
+        };
+        for (b, start) in (0..n).step_by(seg.item_block).enumerate() {
+            let end = (start + seg.item_block).min(n);
+            // Dot scoring admits a per-block Cauchy–Schwarz bound; skip the
+            // whole block when no user's heap could accept anything in it.
+            // (Cosine's bound is ‖x_u‖ for every block — nothing to prune.)
+            if score == ScoreKind::Dot {
+                // Approximate mode first asks the stronger question: can
+                // anything in the *rest of the segment* beat any heap by
+                // more than the epsilon slack?  A "no" ends the segment
+                // scan — in a norm-descending segment that fires as soon as
+                // the first prunable block appears.
+                if let Some(slack) = term_slack {
+                    let done = heaps.iter().enumerate().all(|(i, h)| match h {
+                        Some(h) => h
+                            .threshold()
+                            .is_some_and(|t| user_norms[i] * bound_suffix[b] * slack < t),
+                        None => true,
+                    });
+                    if done {
+                        stats.blocks_terminated += (n_blocks - b) as u64;
+                        break;
+                    }
+                }
+                let bound = bound(b) * NORM_BOUND_SLACK;
+                let prunable = heaps.iter().enumerate().all(|(i, h)| match h {
+                    Some(h) => h.threshold().is_some_and(|t| user_norms[i] * bound < t),
+                    None => true,
+                });
+                if prunable {
                     stats.blocks_pruned += 1;
                     continue;
                 }
-                if policy.max_blocks > 0 && scored_blocks >= policy.max_blocks {
-                    stats.blocks_terminated += 1;
-                    continue;
-                }
+            }
+            // The block budget (both score kinds) skips further blocks once
+            // the tile has scored its allowance — but only after every heap
+            // holds its candidates, so a k ≥ catalog request is never cut
+            // short, and never while a zero-norm user is in the tile: every
+            // item ties at score 0 for it, so only the full scan's id
+            // tie-break is exact.
+            if block_budget > 0
+                && scored_blocks >= block_budget
+                && heaps.iter().enumerate().all(|(i, h)| {
+                    h.as_ref()
+                        .is_none_or(|h| h.threshold().is_some() && user_norms[i] > 0.0)
+                })
+            {
+                stats.blocks_terminated += 1;
+                continue;
             }
             stats.blocks_scored += 1;
             scored_blocks += 1;
-            let end = (start + seg.item_block).min(n);
-            let out = &mut scores[..end - start];
-            batch_score_segment(user, 1, seg, start, end, f, out);
-            for (j, &s) in out.iter().enumerate() {
-                let item = seg.global_id(start + j);
-                if !skip(item) {
-                    topk.push(item, s);
+            let nb = end - start;
+            let out = &mut scores[..tile.len() * nb];
+            match seg.encoded {
+                Some(slab) => {
+                    stats.bytes_scanned += slab.scan_bytes(start, end);
+                    batch_score_rows_quant(
+                        &users,
+                        tile.len(),
+                        slab,
+                        start,
+                        end,
+                        f,
+                        &mut dequant,
+                        out,
+                    );
+                }
+                None => {
+                    stats.bytes_scanned += (nb * f * std::mem::size_of::<f32>()) as u64;
+                    batch_score_segment(&users, tile.len(), seg, start, end, f, out);
+                }
+            }
+            for (i, heap) in heaps.iter_mut().enumerate() {
+                let Some(heap) = heap else { continue };
+                let row = &out[i * nb..(i + 1) * nb];
+                for (j, &s) in row.iter().enumerate() {
+                    let item = seg.global_id(start + j);
+                    if excluded[i].contains(&item) {
+                        continue;
+                    }
+                    let s = match score {
+                        ScoreKind::Dot => s,
+                        ScoreKind::Cosine => {
+                            let n = seg.norms[start + j];
+                            if n > 0.0 {
+                                s / n
+                            } else {
+                                0.0
+                            }
+                        }
+                    };
+                    heap.push(item, s);
                 }
             }
         }
     }
-    topk.into_sorted_vec()
+
+    let mut lists: Vec<Vec<(u32, f32)>> = heaps
+        .into_iter()
+        .map(|h| h.map(TopK::into_sorted_vec).unwrap_or_default())
+        .collect();
+    if quantized {
+        rerank_exact(tile, f, segments, score, &mut lists, stats);
+    }
+    lists
 }
 
-/// Merges per-shard partial top-k lists into the final top-`k`.
-///
-/// Exactness: the [`TopK`] tie-break is a total order (score descending,
-/// item id ascending), so the kept set is independent of push order — as
-/// long as every item that would survive the unsharded heap appears in some
-/// partial list (guaranteed when each shard keeps its own top-`k`, and the
-/// shards may span any mix of catalog segments), the merged result is
-/// bit-identical to scoring the shards as one run.
-pub fn merge_top_k(parts: &[Vec<(u32, f32)>], k: usize) -> Vec<(u32, f32)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut topk = TopK::new(k);
-    for part in parts {
-        for &(item, score) in part {
-            topk.push(item, score);
-        }
-    }
-    topk.into_sorted_vec()
-}
-
-/// Blocked top-k retrieval of a single user vector against a row-major item
-/// factor table: scores `items` in blocks of `item_block` vectors through
-/// [`batch_score_block`] and keeps the best `k` in a [`TopK`] heap.
-///
-/// `skip(item)` excludes items from the result (typically the user's
-/// already-rated items).  Returns `(item, score)` sorted by score descending.
-pub fn retrieve_top_k<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    items: &[f32],
+/// Exact-f32 rerank of a quantized scan's candidates: rescores each list
+/// against the segments' retained exact rows with [`score_dot`] (the scan's
+/// own accumulation order), re-sorts under the heaps' (score desc, id asc)
+/// total order, and truncates back to `k`.
+fn rerank_exact(
+    tile: &[TileQuery<'_>],
     f: usize,
-    k: usize,
-    item_block: usize,
-    skip: F,
-) -> Vec<(u32, f32)> {
-    retrieve_impl(user, items, f, k, item_block, None, skip)
-}
-
-/// [`retrieve_top_k`] with whole-block threshold short-circuiting: once the
-/// heap is full, any block whose score upper bound
-/// `‖x_u‖ · block_max[b] · NORM_BOUND_SLACK` falls strictly below the k-th
-/// best score ([`TopK::threshold`]) is skipped without touching its factors.
-///
-/// `block_max` must come from [`block_max_norms`] over the same item norms
-/// and the same `item_block`.  Results are bit-identical to
-/// [`retrieve_top_k`]; only dot-product scores may use this path (a
-/// norm-divided score has no per-block bound tighter than `‖x_u‖`).
-pub fn retrieve_top_k_pruned<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    items: &[f32],
-    f: usize,
-    k: usize,
-    item_block: usize,
-    block_max: &[f32],
-    skip: F,
-) -> Vec<(u32, f32)> {
-    retrieve_impl(user, items, f, k, item_block, Some(block_max), skip)
-}
-
-fn retrieve_impl<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    items: &[f32],
-    f: usize,
-    k: usize,
-    item_block: usize,
-    block_max: Option<&[f32]>,
-    mut skip: F,
-) -> Vec<(u32, f32)> {
-    assert!(f > 0, "latent dimension must be positive");
-    assert!(item_block > 0, "item block must be positive");
-    assert_eq!(user.len(), f, "user vector length mismatch");
-    if k == 0 {
-        return Vec::new();
-    }
-    assert_eq!(items.len() % f, 0, "item buffer not a multiple of f");
-    let n_items = items.len() / f;
-    // The user norm feeds only the pruning bound; the unpruned path must
-    // not pay for it.
-    let user_norm = block_max.map(|bm| {
-        assert_eq!(
-            bm.len(),
-            n_items.div_ceil(item_block),
-            "block max norms do not match the item blocking"
-        );
-        crate::blas::norm_sq(user).sqrt()
-    });
-    let mut topk = TopK::new(k);
-    let mut scores = vec![0.0f32; item_block.min(n_items.max(1))];
-    for (b, start) in (0..n_items).step_by(item_block).enumerate() {
-        if let (Some(bm), Some(norm), Some(threshold)) = (block_max, user_norm, topk.threshold()) {
-            if norm * bm[b] * NORM_BOUND_SLACK < threshold {
-                continue;
-            }
+    segments: &[SegmentView<'_>],
+    score: ScoreKind,
+    lists: &mut [Vec<(u32, f32)>],
+    stats: &mut PruneStats,
+) {
+    let started = Instant::now();
+    let mut candidates = 0u64;
+    for (q, list) in tile.iter().zip(lists.iter_mut()) {
+        candidates += list.len() as u64;
+        for (v, s) in list.iter_mut() {
+            let seg = segments
+                .iter()
+                .find(|seg| *v >= seg.first_id && ((*v - seg.first_id) as usize) < seg.n_items())
+                .expect("a scanned item lies in a scanned segment");
+            let row = seg.vector_of(*v, f);
+            let dot = score_dot(q.user, row);
+            *s = match score {
+                ScoreKind::Dot => dot,
+                ScoreKind::Cosine => {
+                    let n = crate::blas::norm_sq(row).sqrt();
+                    if n > 0.0 {
+                        dot / n
+                    } else {
+                        0.0
+                    }
+                }
+            };
         }
-        let end = (start + item_block).min(n_items);
-        let block = &items[start * f..end * f];
-        let out = &mut scores[..end - start];
-        batch_score_block(user, 1, block, end - start, f, out);
-        for (j, &s) in out.iter().enumerate() {
-            let item = (start + j) as u32;
-            if !skip(item) {
-                topk.push(item, s);
-            }
-        }
+        list.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        list.truncate(q.k);
     }
-    topk.into_sorted_vec()
+    stats.rerank_candidates += candidates;
+    stats.bytes_scanned += candidates * (f * std::mem::size_of::<f32>()) as u64;
+    if candidates > 0 {
+        stats.rerank_ns += started.elapsed().as_nanos() as u64;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FactorMatrix;
+    use crate::{batch_score_block, FactorMatrix};
 
     #[test]
     fn keeps_the_k_best_sorted() {
@@ -644,35 +698,113 @@ mod tests {
         assert_eq!(t.into_sorted_vec(), vec![(1, 1.0)]);
     }
 
+    /// `scan_top_k` over a tile of one Dot-scored user.
+    fn scan_one(
+        user: &[f32],
+        k: usize,
+        views: &[SegmentView<'_>],
+        exclude: &[u32],
+        approx: Option<&ApproxPolicy>,
+        stats: &mut PruneStats,
+    ) -> Vec<(u32, f32)> {
+        let tile = [TileQuery { user, k, exclude }];
+        scan_top_k(&tile, user.len(), views, ScoreKind::Dot, approx, stats).remove(0)
+    }
+
+    /// Brute-force reference: score the whole table with the same kernel,
+    /// then fully sort — the heap must select exactly the same winners.
+    fn full_sort_reference(
+        user: &[f32],
+        theta: &FactorMatrix,
+        k: usize,
+        exclude: &[u32],
+    ) -> Vec<(u32, f32)> {
+        let n = theta.len();
+        let mut all_scores = vec![0.0f32; n];
+        batch_score_block(user, 1, theta.data(), n, theta.rank(), &mut all_scores);
+        let mut reference: Vec<(u32, f32)> = (0..n as u32)
+            .filter(|v| !exclude.contains(v))
+            .map(|v| (v, all_scores[v as usize]))
+            .collect();
+        reference.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        reference.truncate(k);
+        reference
+    }
+
     #[test]
     fn retrieve_matches_full_sort_reference() {
         let f = 8;
         let n = 1000;
         let theta = FactorMatrix::random(n, f, 1.0, 42);
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 7).data().to_vec();
-        let got = retrieve_top_k(&user, theta.data(), f, 10, 64, |v| v % 97 == 0);
-
-        // Reference: score the whole table with the same kernel, then fully
-        // sort — the heap must select exactly the same winners.
-        let mut all_scores = vec![0.0f32; n];
-        batch_score_block(&user, 1, theta.data(), n, f, &mut all_scores);
-        let mut reference: Vec<(u32, f32)> = (0..n as u32)
-            .filter(|v| v % 97 != 0)
-            .map(|v| (v, all_scores[v as usize]))
-            .collect();
-        reference.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        reference.truncate(10);
-        assert_eq!(got, reference);
+        let exclude: Vec<u32> = (0..n as u32).filter(|v| v % 97 == 0).collect();
+        let norms = item_norms(theta.data(), f);
+        let mut tables = Vec::new();
+        let views = views_at(&theta, &[0, n], 64, &norms, &mut tables);
+        let got = scan_one(
+            &user,
+            10,
+            &views,
+            &exclude,
+            None,
+            &mut PruneStats::default(),
+        );
+        assert_eq!(got, full_sort_reference(&user, &theta, 10, &exclude));
     }
 
     #[test]
     fn block_size_does_not_change_results() {
         let f = 4;
-        let theta = FactorMatrix::random(333, f, 1.0, 3);
+        let n = 333;
+        let theta = FactorMatrix::random(n, f, 1.0, 3);
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 9).data().to_vec();
-        let a = retrieve_top_k(&user, theta.data(), f, 7, 8, |_| false);
-        let b = retrieve_top_k(&user, theta.data(), f, 7, 1000, |_| false);
+        let norms = item_norms(theta.data(), f);
+        let mut tables = Vec::new();
+        let small = views_at(&theta, &[0, n], 8, &norms, &mut tables);
+        let a = scan_one(&user, 7, &small, &[], None, &mut PruneStats::default());
+        let mut tables = Vec::new();
+        let large = views_at(&theta, &[0, n], 1000, &norms, &mut tables);
+        let b = scan_one(&user, 7, &large, &[], None, &mut PruneStats::default());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn tile_lists_match_one_user_scans() {
+        // Pruning is decided per tile, but it is exact, so each user's list
+        // must not depend on who else shares the tile — for both score
+        // kinds, with per-user k and exclusions.
+        let f = 6;
+        let n = 900;
+        let theta = FactorMatrix::random(n, f, 1.0, 11);
+        let users = FactorMatrix::random(SCAN_TILE, f, 1.0, 12);
+        let norms = item_norms(theta.data(), f);
+        let mut tables = Vec::new();
+        let views = views_at(&theta, &[0, 300, n], 64, &norms, &mut tables);
+        let excludes: Vec<Vec<u32>> = (0..SCAN_TILE as u32)
+            .map(|u| (0..n as u32).filter(|v| (v + u) % 17 == 0).collect())
+            .collect();
+        let tile: Vec<TileQuery<'_>> = (0..SCAN_TILE)
+            .map(|u| TileQuery {
+                user: users.vector(u),
+                k: u + 1,
+                exclude: &excludes[u],
+            })
+            .collect();
+        for score in [ScoreKind::Dot, ScoreKind::Cosine] {
+            let together = scan_top_k(&tile, f, &views, score, None, &mut PruneStats::default());
+            for (q, got) in tile.iter().zip(&together) {
+                let alone = scan_top_k(
+                    std::slice::from_ref(q),
+                    f,
+                    &views,
+                    score,
+                    None,
+                    &mut PruneStats::default(),
+                );
+                assert_eq!(got, &alone[0], "{score:?} k {}", q.k);
+                assert_eq!(got.len(), q.k);
+            }
+        }
     }
 
     #[test]
@@ -702,60 +834,26 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_shard_partials_matches_single_run() {
-        let f = 8;
-        let n = 600;
-        let theta = FactorMatrix::random(n, f, 1.0, 17);
-        let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 18).data().to_vec();
-        let whole = retrieve_top_k(&user, theta.data(), f, 9, 64, |_| false);
-        // Split the catalog into 4 uneven shards, keep top-9 per shard,
-        // merge: bit-identical to the single run.
-        let cuts = [0usize, 150, 151, 400, n];
-        let parts: Vec<Vec<(u32, f32)>> = cuts
-            .windows(2)
-            .map(|w| {
-                let part =
-                    retrieve_top_k(&user, &theta.data()[w[0] * f..w[1] * f], f, 9, 64, |_| {
-                        false
-                    });
-                part.into_iter()
-                    .map(|(v, s)| (v + w[0] as u32, s))
-                    .collect()
-            })
-            .collect();
-        assert_eq!(merge_top_k(&parts, 9), whole);
-    }
-
-    #[test]
-    fn merge_top_k_handles_edge_shapes() {
-        assert!(merge_top_k(&[], 5).is_empty());
-        assert!(merge_top_k(&[vec![(1, 1.0)]], 0).is_empty());
-        // Duplicate items across parts keep a single entry per push order
-        // invariance (the heap dedupes nothing — callers shard disjointly —
-        // but ties still prefer small ids deterministically).
-        let merged = merge_top_k(&[vec![(3, 1.0), (1, 1.0)], vec![(2, 1.0)]], 2);
-        assert_eq!(merged, vec![(1, 1.0), (2, 1.0)]);
-    }
-
-    #[test]
     fn pruned_retrieval_is_bit_identical_to_unpruned() {
         let f = 6;
         let n = 1111;
         for seed in 0..4u64 {
             let theta = FactorMatrix::random(n, f, 1.0, seed);
             let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 100 + seed).data().to_vec();
-            let norms: Vec<f32> = theta
-                .data()
-                .chunks_exact(f)
-                .map(|v| crate::blas::norm_sq(v).sqrt())
-                .collect();
+            let norms = item_norms(theta.data(), f);
+            let exclude: Vec<u32> = (0..n as u32).filter(|v| v % 31 == 0).collect();
+            let plain = full_sort_reference(&user, &theta, 10, &exclude);
             for item_block in [7usize, 64, 2000] {
-                let bm = block_max_norms(&norms, item_block);
-                let plain = retrieve_top_k(&user, theta.data(), f, 10, item_block, |v| v % 31 == 0);
-                let pruned =
-                    retrieve_top_k_pruned(&user, theta.data(), f, 10, item_block, &bm, |v| {
-                        v % 31 == 0
-                    });
+                let mut tables = Vec::new();
+                let views = views_at(&theta, &[0, n], item_block, &norms, &mut tables);
+                let pruned = scan_one(
+                    &user,
+                    10,
+                    &views,
+                    &exclude,
+                    None,
+                    &mut PruneStats::default(),
+                );
                 assert_eq!(plain, pruned, "seed {seed} block {item_block}");
             }
         }
@@ -776,16 +874,15 @@ mod tests {
         }
         let theta = FactorMatrix::from_vec(n, f, data);
         let user = vec![1.0f32; f];
-        let norms: Vec<f32> = theta
-            .data()
-            .chunks_exact(f)
-            .map(|v| crate::blas::norm_sq(v).sqrt())
-            .collect();
-        let bm = block_max_norms(&norms, 16);
-        let plain = retrieve_top_k(&user, theta.data(), f, 5, 16, |_| false);
-        let pruned = retrieve_top_k_pruned(&user, theta.data(), f, 5, 16, &bm, |_| false);
-        assert_eq!(plain, pruned);
+        let norms = item_norms(theta.data(), f);
+        let mut tables = Vec::new();
+        let views = views_at(&theta, &[0, n], 16, &norms, &mut tables);
+        let mut stats = PruneStats::default();
+        let pruned = scan_one(&user, 5, &views, &[], None, &mut stats);
+        assert_eq!(full_sort_reference(&user, &theta, 5, &[]), pruned);
         assert_eq!(pruned[0].0, 9 - 2, "largest seeded item wins");
+        assert_eq!(stats.blocks_scored, 1, "only the heavy block is scored");
+        assert_eq!(stats.blocks_pruned, 31);
     }
 
     /// Builds catalog-order segment views over `theta` split at `cuts`
@@ -824,8 +921,8 @@ mod tests {
         let theta = FactorMatrix::random(n, f, 1.0, 51);
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 52).data().to_vec();
         let norms = item_norms(theta.data(), f);
-        let bm = block_max_norms(&norms, 64);
-        let expect = retrieve_top_k_pruned(&user, theta.data(), f, 9, 64, &bm, |v| v % 13 == 0);
+        let exclude: Vec<u32> = (0..n as u32).filter(|v| v % 13 == 0).collect();
+        let expect = full_sort_reference(&user, &theta, 9, &exclude);
         for cuts in [
             vec![0usize, n],
             vec![0, 100, n],
@@ -835,7 +932,7 @@ mod tests {
             let mut tables = Vec::new();
             let views = views_at(&theta, &cuts, 64, &norms, &mut tables);
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments(&user, f, 9, &views, |v| v % 13 == 0, &mut stats);
+            let got = scan_one(&user, 9, &views, &exclude, None, &mut stats);
             assert_eq!(got, expect, "cuts {cuts:?}");
             assert!(
                 stats.blocks_scored + stats.blocks_pruned > 0,
@@ -871,11 +968,8 @@ mod tests {
             encoded: None,
         };
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 62).data().to_vec();
-        let plain_bm = block_max_norms(&norms, 16);
-        let expect = retrieve_top_k_pruned(&user, theta.data(), f, 7, 16, &plain_bm, |_| false);
-        let mut stats = PruneStats::default();
-        let got = retrieve_top_k_segments(&user, f, 7, &[view], |_| false, &mut stats);
-        assert_eq!(got, expect);
+        let got = scan_one(&user, 7, &[view], &[], None, &mut PruneStats::default());
+        assert_eq!(got, full_sort_reference(&user, &theta, 7, &[]));
     }
 
     #[test]
@@ -969,22 +1063,15 @@ mod tests {
         let theta = FactorMatrix::random(n, f, 1.0, 51);
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 52).data().to_vec();
         let norms = item_norms(theta.data(), f);
+        let exclude: Vec<u32> = (0..n as u32).filter(|v| v % 13 == 0).collect();
         for cuts in [vec![0usize, n], vec![0, 100, n], vec![0, 64, 65, 300, n]] {
             let mut tables = Vec::new();
             let views = views_at(&theta, &cuts, 64, &norms, &mut tables);
             let mut exact_stats = PruneStats::default();
-            let expect =
-                retrieve_top_k_segments(&user, f, 9, &views, |v| v % 13 == 0, &mut exact_stats);
+            let expect = scan_one(&user, 9, &views, &exclude, None, &mut exact_stats);
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments_approx(
-                &user,
-                f,
-                9,
-                &views,
-                |v| v % 13 == 0,
-                &ApproxPolicy::exact(),
-                &mut stats,
-            );
+            let exact_policy = ApproxPolicy::exact();
+            let got = scan_one(&user, 9, &views, &exclude, Some(&exact_policy), &mut stats);
             assert_eq!(got, expect, "cuts {cuts:?}");
             // At epsilon = 0 termination only fires where exact pruning
             // would skip every remaining block — never on blocks that would
@@ -1028,13 +1115,13 @@ mod tests {
         let mut prev_scored = u64::MAX;
         for eps in [0.0f32, 0.05, 0.1, 0.3, 0.6] {
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments_approx(
+            let policy = ApproxPolicy::with_epsilon(eps);
+            let got = scan_one(
                 &user,
-                f,
                 10,
                 std::slice::from_ref(&view),
-                |_| false,
-                &ApproxPolicy::with_epsilon(eps),
+                &[],
+                Some(&policy),
                 &mut stats,
             );
             assert_eq!(got.len(), 10, "eps {eps}");
@@ -1065,8 +1152,7 @@ mod tests {
             target_recall: 1.0,
         };
         let mut stats = PruneStats::default();
-        let got =
-            retrieve_top_k_segments_approx(&user, f, 5, &views, |_| false, &policy, &mut stats);
+        let got = scan_one(&user, 5, &views, &[], Some(&policy), &mut stats);
         assert_eq!(got.len(), 5, "budgeted scan still returns a full list");
         assert_eq!(stats.blocks_scored, 2);
         assert!(stats.blocks_terminated > 0);
@@ -1074,13 +1160,11 @@ mod tests {
         // k ≥ catalog: the heap never fills, so the budget never engages and
         // every item comes back — never a short list.
         let mut stats = PruneStats::default();
-        let all =
-            retrieve_top_k_segments_approx(&user, f, n + 5, &views, |_| false, &policy, &mut stats);
+        let all = scan_one(&user, n + 5, &views, &[], Some(&policy), &mut stats);
         assert_eq!(all.len(), n);
         assert_eq!(stats.blocks_scored, 10);
         assert_eq!(stats.blocks_terminated, 0);
-        let mut exact_stats = PruneStats::default();
-        let exact = retrieve_top_k_segments(&user, f, n + 5, &views, |_| false, &mut exact_stats);
+        let exact = scan_one(&user, n + 5, &views, &[], None, &mut PruneStats::default());
         assert_eq!(all, exact);
     }
 
@@ -1095,23 +1179,45 @@ mod tests {
         let user = vec![0.0f32; f];
         let policy = ApproxPolicy::with_epsilon(0.5);
         let mut stats = PruneStats::default();
-        let got =
-            retrieve_top_k_segments_approx(&user, f, 7, &views, |_| false, &policy, &mut stats);
-        let mut exact_stats = PruneStats::default();
-        let exact = retrieve_top_k_segments(&user, f, 7, &views, |_| false, &mut exact_stats);
+        let got = scan_one(&user, 7, &views, &[], Some(&policy), &mut stats);
+        let exact = scan_one(&user, 7, &views, &[], None, &mut PruneStats::default());
         // Bound and threshold are both 0; `0 < 0` never holds, so nothing
         // is pruned or terminated and the results are the exact ones.
         assert_eq!(got, exact);
         assert_eq!(got.len(), 7);
         assert_eq!(stats.blocks_terminated, 0);
         assert_eq!(stats.blocks_scored, 5);
+        // Every item ties at 0, so only the full scan's id tie-break is
+        // exact: a block budget must not engage either.
+        let budget = ApproxPolicy {
+            epsilon: 0.5,
+            max_blocks: 1,
+            target_recall: 0.0,
+        };
+        let mut stats = PruneStats::default();
+        assert_eq!(
+            scan_one(&user, 7, &views, &[], Some(&budget), &mut stats),
+            exact
+        );
+        assert_eq!(stats.blocks_terminated, 0);
     }
 
     #[test]
-    #[should_panic(expected = "block max norms do not match")]
+    #[should_panic(expected = "segment block maxima do not match its blocking")]
     fn pruned_retrieval_rejects_mismatched_blocking() {
         let theta = FactorMatrix::random(64, 4, 1.0, 1);
+        let norms = item_norms(theta.data(), 4);
+        let view = SegmentView {
+            items: theta.data(),
+            norms: &norms,
+            block_max: &[1.0; 2],
+            item_block: 16,
+            first_id: 0,
+            ids: None,
+            pos: None,
+            encoded: None,
+        };
         let user = vec![1.0f32; 4];
-        retrieve_top_k_pruned(&user, theta.data(), 4, 3, 16, &[1.0; 2], |_| false);
+        scan_one(&user, 3, &[view], &[], None, &mut PruneStats::default());
     }
 }

@@ -3,11 +3,24 @@
 use cumf_linalg::blas::{add_diagonal, dot, gemv, symmetrize_upper, syr_full, syr_upper};
 use cumf_linalg::cholesky::{cholesky_solve, residual_norm};
 use cumf_linalg::{
-    batch_solve, block_max_norms, f16_bits_to_f32, f32_to_f16_bits, item_norms,
-    retrieve_top_k_segments, retrieve_top_k_segments_approx, ApproxPolicy, DenseMatrix,
-    EncodedSlab, FactorMatrix, Precision, PruneStats, SegmentView, F16_REL_ERR, F16_SUBNORMAL_ABS,
+    batch_solve, block_max_norms, f16_bits_to_f32, f32_to_f16_bits, item_norms, scan_top_k,
+    ApproxPolicy, DenseMatrix, EncodedSlab, FactorMatrix, Precision, PruneStats, ScoreKind,
+    SegmentView, TileQuery, F16_REL_ERR, F16_SUBNORMAL_ABS,
 };
 use proptest::prelude::*;
+
+/// Dot-scored top-`k` scan of one user over `views`.
+fn scan_one(
+    user: &[f32],
+    k: usize,
+    views: &[SegmentView<'_>],
+    exclude: &[u32],
+    approx: Option<&ApproxPolicy>,
+    stats: &mut PruneStats,
+) -> Vec<(u32, f32)> {
+    let tile = [TileQuery { user, k, exclude }];
+    scan_top_k(&tile, user.len(), views, ScoreKind::Dot, approx, stats).remove(0)
+}
 
 /// Owned backing storage for a set of segment views over one catalog: the
 /// (possibly permuted) slabs, norms, block-max tables, and id remaps.
@@ -239,17 +252,15 @@ proptest! {
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, seed + 1).data().to_vec();
         let mut cuts = vec![0, cut_a.min(n - 1).max(1), (cut_a + cut_b).min(n - 1).max(1), n];
         cuts.dedup();
+        let exclude: Vec<u32> = (0..n as u32).filter(|v| v % 11 == 0).collect();
         for norm_descending in [false, true] {
             let catalog = SegmentedCatalog::build(&theta, &cuts, item_block, norm_descending);
             let views = catalog.views();
             let mut exact_stats = PruneStats::default();
-            let exact = retrieve_top_k_segments(
-                &user, f, k, &views, |v| v % 11 == 0, &mut exact_stats,
-            );
+            let exact = scan_one(&user, k, &views, &exclude, None, &mut exact_stats);
             let mut approx_stats = PruneStats::default();
-            let approx = retrieve_top_k_segments_approx(
-                &user, f, k, &views, |v| v % 11 == 0,
-                &ApproxPolicy::exact(), &mut approx_stats,
+            let approx = scan_one(
+                &user, k, &views, &exclude, Some(&ApproxPolicy::exact()), &mut approx_stats,
             );
             prop_assert_eq!(
                 &approx, &exact,
@@ -285,15 +296,14 @@ proptest! {
         let catalog = SegmentedCatalog::build(&theta, &[0, n], 64, true);
         let views = catalog.views();
         let mut exact_stats = PruneStats::default();
-        let exact = retrieve_top_k_segments(&user, f, k, &views, |_| false, &mut exact_stats);
+        let exact = scan_one(&user, k, &views, &[], None, &mut exact_stats);
         let truth: std::collections::HashSet<u32> = exact.iter().map(|&(v, _)| v).collect();
         let mut prev_recall = f64::INFINITY;
         let mut prev_scored = u64::MAX;
         for eps in [0.0f32, 0.05, 0.1, 0.25, 0.5, 0.9] {
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments_approx(
-                &user, f, k, &views, |_| false,
-                &ApproxPolicy::with_epsilon(eps), &mut stats,
+            let got = scan_one(
+                &user, k, &views, &[], Some(&ApproxPolicy::with_epsilon(eps)), &mut stats,
             );
             prop_assert_eq!(got.len(), exact.len(), "approx list must stay full-length");
             let recall = if truth.is_empty() {

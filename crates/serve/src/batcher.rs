@@ -39,7 +39,7 @@ use crate::metrics::{MetricsReport, ServeMetrics, Stage, WindowedReport};
 use crate::snapshot::{DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
-use crate::topk::{Query, ScoreKind, TopKIndex, DEFAULT_RERANK_FACTOR};
+use crate::topk::{Query, ScoreKind, TopKIndex};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use cumf_linalg::topk::DEFAULT_ITEM_BLOCK;
 use cumf_linalg::{ApproxPolicy, Precision, PruneStats};
@@ -63,11 +63,6 @@ pub struct ServeConfig {
     /// batcher; more workers scale scoring past one core's budget and keep
     /// serving while another worker is mid-batch.
     pub workers: usize,
-    /// Item shards per scoring pass (see [`TopKIndex::with_shards`]):
-    /// partitions Θ into contiguous shards scored in parallel and merged.
-    /// Results are bit-identical for every value; > 1 buys parallelism for
-    /// small batches over large catalogs.
-    pub shards: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Result-cache byte budget: each entry is charged `k · 8` result bytes
@@ -107,7 +102,7 @@ pub struct ServeConfig {
     /// tails through [`crate::itemstore::ItemStore::append`].  Quantized
     /// precisions stream the compressed slab through the blocked scan and
     /// rescore the over-fetched candidates against retained exact f32 rows
-    /// (see [`ServeConfig::rerank_factor`]); `F32` (the default) is
+    /// (see [`cumf_linalg::scan_top_k`]); `F32` (the default) is
     /// bit-identical to the pre-quantization service.
     pub precision: Precision,
     /// Per-segment precision overrides `(segment index, precision)` applied
@@ -116,11 +111,6 @@ pub struct ServeConfig {
     /// segment (index 0) at `F32` while cold tail segments quantize to
     /// `I8`.  Indices past the snapshot's segment list are ignored.
     pub precision_overrides: Vec<(usize, Precision)>,
-    /// Over-fetch margin of the quantized-scan rerank pass: heaps keep
-    /// `ceil(k · rerank_factor)` candidates and the exact rescore truncates
-    /// back to `k` (see [`TopKIndex::with_rerank`]).  Ignored when every
-    /// segment is exact f32.  Must be finite and ≥ 1.
-    pub rerank_factor: f32,
     /// Trace one request in `trace_sample` (0 disables tracing, 1 traces
     /// everything).  Only sampled requests allocate a per-request
     /// [`Trace`]; everyone else pays one relaxed counter increment.
@@ -136,7 +126,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             max_delay: Duration::from_millis(2),
             workers: 1,
-            shards: 1,
             cache_capacity: 4096,
             cache_budget_bytes: 16 << 20,
             item_block: DEFAULT_ITEM_BLOCK,
@@ -147,7 +136,6 @@ impl Default for ServeConfig {
             approx: None,
             precision: Precision::F32,
             precision_overrides: Vec::new(),
-            rerank_factor: DEFAULT_RERANK_FACTOR,
             trace_sample: 64,
             trace_capacity: 1024,
         }
@@ -438,10 +426,6 @@ impl TopKService {
         if let Some(policy) = &config.approx {
             policy.validate();
         }
-        assert!(
-            config.rerank_factor.is_finite() && config.rerank_factor >= 1.0,
-            "rerank_factor must be finite and >= 1"
-        );
         let n_workers = config.workers.max(1);
         let initial =
             encode_to_serving_precision(initial, config.precision, &config.precision_overrides);
@@ -706,13 +690,11 @@ impl TopKService {
                     .iter()
                     .map(|&slot| batch[slots[slot].0].request.query.clone())
                     .collect();
-                let index = TopKIndex::with_rerank(
+                let index = TopKIndex::with_approx(
                     Arc::clone(&snapshot),
                     config.item_block,
                     config.score,
-                    config.shards,
                     policy,
-                    config.rerank_factor,
                 );
                 let (group_results, group_prune) = index.query_batch_stats(&queries);
                 prune.merge(&group_prune);
@@ -1118,7 +1100,6 @@ mod tests {
             snapshot(7),
             ServeConfig {
                 workers: 4,
-                shards: 3,
                 ..config()
             },
         );
@@ -1480,7 +1461,7 @@ mod tests {
     fn quantized_service_matches_exact_replies_and_records_rerank() {
         // F16 storage + exact rerank reproduces the exact service's lists
         // bit-for-bit on this catalog (the scorer's own tests pin the same
-        // property per shard count), while the quantized-path metrics —
+        // property), while the quantized-path metrics —
         // rerank histogram, bytes scanned, candidates rescored — all flow.
         let service = TopKService::start(
             snapshot(21),

@@ -20,14 +20,14 @@
 //!   [`snapshot::SnapshotStore::publish_delta`] publishes an incremental
 //!   [`snapshot::SnapshotDelta`] copying only `O(u·f)` bytes for `u`
 //!   changed users and `O(a·f)` (one tail segment) for `a` appended items.
-//! * [`topk::TopKIndex`] — scores micro-batches of requests as blocked
-//!   matrix-vector products ([`cumf_linalg::batch_score_segment`]) with a
-//!   bounded heap per user and seen-item exclusion; the catalog's blocks —
-//!   spanning every segment — can be partitioned into item **shards**
-//!   scored in parallel and merged ([`cumf_linalg::merge_top_k`]) with
-//!   bit-identical results, whole low-scoring blocks are skipped via
-//!   norm-bound threshold pruning, and every skip/score decision is
-//!   counted ([`cumf_linalg::PruneStats`]).
+//! * [`topk::TopKIndex`] — scores micro-batches of requests in parallel
+//!   tiles of users, each tile one call of the workspace's single top-k
+//!   scan ([`cumf_linalg::scan_top_k`]): blocked matrix-vector products
+//!   over every segment, a bounded heap per user, seen-item exclusion,
+//!   norm-bound pruning of whole low-scoring blocks, and every skip/score
+//!   decision counted ([`cumf_linalg::PruneStats`]).
+//!   [`snapshot::FactorSnapshot::recommend_one`] runs the same scan for
+//!   one user, so single and batched requests cannot drift apart.
 //! * [`batcher::TopKService`] — a pool of `workers` scorer threads
 //!   coalescing concurrent requests into size- and deadline-bounded
 //!   micro-batches (identical in-flight requests are scored once), fronted

@@ -79,7 +79,7 @@ pub fn recall_at_k(exact: &[(u32, f32)], approx: &[(u32, f32)]) -> f64 {
 /// Runs `queries` through an exact and a `policy`-approximate
 /// [`TopKIndex`] over the same `snapshot` and aggregates recall@k.
 ///
-/// Both indexes share `item_block`, `score`, and `shards`, so the *only*
+/// Both indexes share `item_block` and `score`, so the *only*
 /// difference between the two sides is the early-termination policy — the
 /// measured recall isolates exactly what approximation costs.
 pub fn measure_recall(
@@ -87,17 +87,10 @@ pub fn measure_recall(
     queries: &[Query],
     item_block: usize,
     score: ScoreKind,
-    shards: usize,
     policy: &ApproxPolicy,
 ) -> RecallReport {
-    let exact = TopKIndex::with_shards(Arc::clone(snapshot), item_block, score, shards);
-    let approx = TopKIndex::with_approx(
-        Arc::clone(snapshot),
-        item_block,
-        score,
-        shards,
-        Some(*policy),
-    );
+    let exact = TopKIndex::new(Arc::clone(snapshot), item_block, score);
+    let approx = TopKIndex::with_approx(Arc::clone(snapshot), item_block, score, Some(*policy));
     let (exact_results, exact_stats) = exact.query_batch_stats(queries);
     let (approx_results, approx_stats) = approx.query_batch_stats(queries);
     report_from_lists(&exact_results, &approx_results, exact_stats, approx_stats)
@@ -202,14 +195,7 @@ mod tests {
             FactorMatrix::random(600, 8, 1.0, 41),
         ));
         let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
-        let r = measure_recall(
-            &snap,
-            &queries,
-            64,
-            ScoreKind::Dot,
-            2,
-            &ApproxPolicy::exact(),
-        );
+        let r = measure_recall(&snap, &queries, 64, ScoreKind::Dot, &ApproxPolicy::exact());
         assert_eq!(r.queries, 16);
         assert!(r.all_identical(), "epsilon 0 must be bit-identical");
         assert_eq!(r.mean_recall, 1.0);

@@ -36,8 +36,8 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, RwLock};
 use cumf_core::checkpoint::Checkpoint;
 use cumf_core::trainer::MatrixFactorizer;
-use cumf_linalg::{retrieve_top_k_segments, FactorMatrix, PruneStats};
-use std::collections::{HashMap, HashSet};
+use cumf_linalg::{scan_top_k, FactorMatrix, PruneStats, ScoreKind, TileQuery};
+use std::collections::HashMap;
 
 /// Rows per copy-on-write user-factor block.  Small enough that updating one
 /// user copies at most `USER_COW_ROWS · f` floats (the `O(u·f)` bound of a
@@ -609,26 +609,27 @@ impl FactorSnapshot {
         Some(cumf_linalg::blas::dot(x_u, self.item_vector(item)?))
     }
 
-    /// Single-request top-`k` retrieval: the blocked-scoring + bounded-heap
-    /// path a batch of size one takes, walking the item segments with
-    /// whole-block threshold pruning driven by each segment's precomputed
-    /// norms (results are identical to the unpruned path, for any segment
-    /// count and layout).  Out-of-range users get an empty result (a
-    /// serving layer must not panic on bad requests).
+    /// Single-request, Dot-scored top-`k` retrieval: the one top-k scan
+    /// ([`cumf_linalg::scan_top_k`]) over a tile of one user, across every
+    /// item segment at its default blocking.  It scans, prunes, decodes
+    /// and reranks exactly as a batched [`crate::topk::TopKIndex`] does, so
+    /// its list equals that user's batched list bit for bit at every
+    /// precision.  Out-of-range users get an empty result (a serving layer
+    /// must not panic on bad requests).
     pub fn recommend_one(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
         let Some(x_u) = self.user_vector(user) else {
             return Vec::new();
         };
-        let excluded: HashSet<u32> = exclude.iter().copied().collect();
-        let mut stats = PruneStats::default();
-        retrieve_top_k_segments(
-            x_u,
-            self.rank(),
+        let tile = [TileQuery {
+            user: x_u,
             k,
-            &self.items.views(),
-            |v| excluded.contains(&v),
-            &mut stats,
-        )
+            exclude,
+        }];
+        let views = self.items.views();
+        let mut stats = PruneStats::default();
+        scan_top_k(&tile, self.rank(), &views, ScoreKind::Dot, None, &mut stats)
+            .pop()
+            .unwrap_or_default()
     }
 }
 

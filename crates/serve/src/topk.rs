@@ -1,73 +1,27 @@
-//! Batched, item-sharded top-k scoring against one snapshot.
+//! Batched top-k scoring against one snapshot.
 //!
 //! The training-time insight of the paper — batch many independent small
 //! problems into one regular, blocked kernel — applied at serving time: a
-//! micro-batch of user requests is scored as blocked matrix-vector products
-//! ([`cumf_linalg::batch_score_block`]), so each item block is streamed from
-//! memory once per *tile of users* instead of once per request.  Each user
-//! folds block scores into a bounded heap ([`cumf_linalg::TopK`]), never
-//! materializing the full score vector.
+//! micro-batch of user requests is cut into tiles of
+//! [`cumf_linalg::topk::SCAN_TILE`] users, and each tile runs the one top-k
+//! scan, [`cumf_linalg::scan_top_k`], so every item block is streamed from
+//! memory once per *tile of users* instead of once per request.  Tiles
+//! score independently and in parallel.
 //!
-//! Two levers scale the scorer past one core per batch:
-//!
-//! * **User tiles** — queries are split into `USER_TILE`-sized tiles that
-//!   score independently.
-//! * **Item shards** — the catalog's item blocks (spanning every
-//!   [`crate::itemstore::ItemStore`] segment, base and appended tails
-//!   alike) are partitioned into `shards` contiguous runs; each
-//!   `(tile, shard)` pair scores independently into a per-shard bounded
-//!   heap and the partial top-k lists are merged with
-//!   [`cumf_linalg::merge_top_k`].  The heap tie-break is a total order, so
-//!   results are **bit-identical for every shard count** — sharding is purely
-//!   a parallelism knob.
-//!
-//! Dot-product scoring also short-circuits whole low-scoring blocks: once a
-//! tile's heaps are full, a block whose Cauchy–Schwarz bound
-//! (`‖x_u‖ · max‖θ_v‖ ·` [`cumf_linalg::topk::NORM_BOUND_SLACK`]) cannot
-//! beat any heap threshold is skipped without touching its factors.  Blocks
-//! never straddle a segment boundary (segments are block-aligned on their
-//! own), each segment prunes against its own block-max table — which a
-//! norm-descending layout makes fire systematically — and the
-//! skipped/scored decisions are counted in a [`PruneStats`]
-//! ([`TopKIndex::query_batch_stats`]).
+//! The scan owns the whole retrieval policy: norm-bound block pruning
+//! (which a norm-descending layout makes fire systematically), optional
+//! early termination, quantized decode with exact rerank, exclusions and
+//! the tie-break.  This module only resolves the blocking per
+//! [`crate::itemstore::ItemStore`] segment, gathers the tiles and sums each
+//! tile's [`PruneStats`] ([`TopKIndex::query_batch_stats`]).
 
 use crate::snapshot::FactorSnapshot;
 use crate::sync::Arc;
-use cumf_linalg::topk::NORM_BOUND_SLACK;
-use cumf_linalg::{
-    batch_score_rows_quant, batch_score_segment, block_max_norms, merge_top_k, suffix_max_norms,
-    ApproxPolicy, PruneStats, TopK,
-};
+use cumf_linalg::topk::SCAN_TILE;
+use cumf_linalg::{block_max_norms, scan_top_k, ApproxPolicy, PruneStats, SegmentView, TileQuery};
 use rayon::prelude::*;
-use std::collections::HashSet;
-use std::ops::Range;
-use std::time::Instant;
 
-/// Default candidate over-fetch multiplier for quantized scans: the blocked
-/// scan keeps `ceil(k · rerank_factor)` candidates per query so the exact
-/// rerank can repair orderings the quantization error perturbed near the
-/// `k`-th score.  Full-precision scans ignore it entirely.
-pub const DEFAULT_RERANK_FACTOR: f32 = 2.0;
-
-/// One shard's partial output for a user tile: per-query top-k lists plus
-/// the shard's pruning counters.
-type TilePartials = (Vec<Vec<(u32, f32)>>, PruneStats);
-
-/// How a candidate item is scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreKind {
-    /// Raw inner product `x_u · θ_v` (predicted rating).
-    #[default]
-    Dot,
-    /// Inner product divided by `‖θ_v‖` — uses the snapshot's precomputed
-    /// item norms to stop high-norm (popular) items from dominating every
-    /// list.  The user-norm factor is constant per request and cannot
-    /// change the ranking, so it is skipped.  Zero-norm (cold, never
-    /// trained) items score 0.0 rather than being dropped, so a request
-    /// never comes back shorter than `k` just because the catalog has cold
-    /// entries.
-    Cosine,
-}
+pub use cumf_linalg::ScoreKind;
 
 /// One top-k retrieval request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,84 +45,6 @@ impl Query {
     }
 }
 
-/// Number of users scored together against each item block.  Eight user
-/// vectors of `f ≤ 128` floats fit comfortably in L1 next to the item block.
-const USER_TILE: usize = 8;
-
-/// Per-tile scoring state computed once and shared by every item shard the
-/// tile is scored against: the gathered contiguous user operand, validity
-/// flags, user norms (for block pruning), and the exclusion hash sets —
-/// hashing a heavy exclusion list per shard would erode the parallelism
-/// sharding buys.
-struct TileCtx {
-    users: Vec<f32>,
-    valid: Vec<bool>,
-    user_norms: Vec<f32>,
-    excluded: Vec<HashSet<u32>>,
-}
-
-impl TileCtx {
-    fn new(tile: &[Query], snap: &FactorSnapshot) -> Self {
-        let f = snap.rank();
-        // Gather the tile's user vectors into one contiguous buffer so the
-        // block scorer sees a dense (tile × f) operand.  Out-of-range users
-        // keep a zero vector and are marked invalid.
-        let mut users = vec![0.0f32; tile.len() * f];
-        let mut valid = vec![false; tile.len()];
-        for (i, q) in tile.iter().enumerate() {
-            if let Some(x_u) = snap.user_vector(q.user) {
-                users[i * f..(i + 1) * f].copy_from_slice(x_u);
-                valid[i] = true;
-            }
-        }
-        let user_norms = users
-            .chunks_exact(f)
-            .map(|x| cumf_linalg::blas::norm_sq(x).sqrt())
-            .collect();
-        let excluded = tile
-            .iter()
-            .map(|q| q.exclude.iter().copied().collect())
-            .collect();
-        Self {
-            users,
-            valid,
-            user_norms,
-            excluded,
-        }
-    }
-}
-
-/// One item segment's blocking as resolved by a [`TopKIndex`]: the index's
-/// `item_block` clamped to the segment, a matching block-max table (reusing
-/// the segment's precomputed table when the granularity matches), and the
-/// segment's position in the global block numbering the shard partition
-/// runs over.
-#[derive(Debug, Clone)]
-struct IndexSegment {
-    /// Index into the snapshot's `ItemStore::segments()`.
-    seg: usize,
-    /// Items per block within this segment.
-    item_block: usize,
-    /// Block maxima of the segment's stored-order norms at `item_block`
-    /// granularity.
-    block_max: Vec<f32>,
-    /// Pruning bound per block: `block_max` widened by the segment's
-    /// per-block quantization error bound (`block_max` itself on exact
-    /// segments).  For a quantized segment `block_max` describes the
-    /// **decoded** rows while the exact row may be up to the codec's error
-    /// bound longer, so Cauchy–Schwarz pruning against exact scores must
-    /// compare `‖x_u‖ · (max‖dec(θ_v)‖ + err_b)` — folding the error into
-    /// the bound keeps every skip admissible.
-    bound_max: Vec<f32>,
-    /// Running maxima of `bound_max` from each block to the segment's end —
-    /// the approximate stop rule compares against this so terminating a
-    /// segment scan is safe for any stored order (in a norm-descending
-    /// segment it equals `bound_max`).
-    bound_suffix: Vec<f32>,
-    /// Global index of this segment's first block.
-    first_block: usize,
-}
-
 /// Batched blocked top-k scorer over one immutable snapshot.
 ///
 /// All queries of a [`TopKIndex::query_batch`] call are answered from the
@@ -178,151 +54,64 @@ struct IndexSegment {
 pub struct TopKIndex {
     snapshot: Arc<FactorSnapshot>,
     score: ScoreKind,
-    shards: usize,
     /// Early-termination policy; `None` keeps the scan exact.
     approx: Option<ApproxPolicy>,
-    /// Candidate over-fetch multiplier for the exact rerank (≥ 1.0; only
-    /// consulted when `quantized`).
-    rerank_factor: f32,
-    /// Whether any store segment carries an encoded slab — the switch that
-    /// turns on over-fetch + exact rerank.  All-f32 stores take the exact
-    /// path untouched (bit-identical to the pre-quantization scorer).
-    quantized: bool,
-    /// Per-segment blocking, base segment first, in global block order.
-    segs: Vec<IndexSegment>,
-    /// Total blocks across all segments (what shards partition).
-    n_blocks: usize,
-    /// Largest per-segment block size (scratch-buffer sizing).
-    max_block: usize,
+    /// Per store segment, in segment order: items per block (the index's
+    /// `item_block` clamped to the segment) and the block maxima of the
+    /// segment's stored-order norms at that granularity.
+    blocking: Vec<(usize, Vec<f32>)>,
 }
 
 impl TopKIndex {
-    /// Creates an unsharded index over `snapshot` scoring `item_block`
-    /// items per block.
+    /// Creates an exact index over `snapshot` scoring `item_block` items
+    /// per block.
     pub fn new(snapshot: Arc<FactorSnapshot>, item_block: usize, score: ScoreKind) -> Self {
-        Self::with_shards(snapshot, item_block, score, 1)
+        Self::with_approx(snapshot, item_block, score, None)
     }
 
-    /// Creates an index that partitions the catalog's item blocks — across
-    /// every store segment — into `shards` contiguous runs scored in
-    /// parallel (clamped to at least 1 and at most one shard per block).
-    /// Results are bit-identical for every shard count.
-    pub fn with_shards(
-        snapshot: Arc<FactorSnapshot>,
-        item_block: usize,
-        score: ScoreKind,
-        shards: usize,
-    ) -> Self {
-        Self::with_approx(snapshot, item_block, score, shards, None)
-    }
-
-    /// [`TopKIndex::with_shards`] with an optional early-termination policy.
+    /// [`TopKIndex::new`] with an optional early-termination policy.
     ///
-    /// With `Some(policy)` the scorer may stop scanning a segment once the
-    /// discounted Cauchy–Schwarz bound says nothing left in it can improve
-    /// any tile heap by more than the policy's epsilon slack, and may cap
-    /// scored blocks at `policy.max_blocks` per `(tile, shard)` scan.  Both
-    /// rules only engage once every heap in the tile holds its `k` items, so
-    /// result lists never come back short.  A policy with `epsilon = 0` and
-    /// no budget is bit-identical to the exact index.  Epsilon termination
-    /// applies to [`ScoreKind::Dot`] only (a norm-divided score has no
-    /// per-block bound); the block budget applies to both score kinds.
+    /// With `Some(policy)` the scan may stop a segment once the discounted
+    /// Cauchy–Schwarz bound says nothing left in it can improve any tile
+    /// heap by more than the policy's epsilon slack, and may cap scored
+    /// blocks at `policy.max_blocks` per tile.  Both rules only engage once
+    /// every heap in the tile is full, so result lists never come back
+    /// short.  A policy with `epsilon = 0` and no budget is bit-identical
+    /// to the exact index.  Epsilon termination applies to
+    /// [`ScoreKind::Dot`] only (a norm-divided score has no per-block
+    /// bound); the block budget applies to both score kinds.
     pub fn with_approx(
         snapshot: Arc<FactorSnapshot>,
         item_block: usize,
         score: ScoreKind,
-        shards: usize,
         approx: Option<ApproxPolicy>,
-    ) -> Self {
-        Self::with_rerank(
-            snapshot,
-            item_block,
-            score,
-            shards,
-            approx,
-            DEFAULT_RERANK_FACTOR,
-        )
-    }
-
-    /// [`TopKIndex::with_approx`] with an explicit rerank over-fetch factor.
-    ///
-    /// When any store segment is quantized the scan keeps
-    /// `ceil(k · rerank_factor)` candidates per query and a final pass
-    /// rescores them against the retained exact f32 rows, truncating back to
-    /// `k` under the same (score desc, id asc) total order.  `rerank_factor`
-    /// must be ≥ 1.0; it is ignored on all-f32 stores.
-    pub fn with_rerank(
-        snapshot: Arc<FactorSnapshot>,
-        item_block: usize,
-        score: ScoreKind,
-        shards: usize,
-        approx: Option<ApproxPolicy>,
-        rerank_factor: f32,
     ) -> Self {
         assert!(item_block > 0, "item block must be positive");
-        assert!(
-            rerank_factor.is_finite() && rerank_factor >= 1.0,
-            "rerank factor must be a finite multiplier >= 1.0, got {rerank_factor}"
-        );
         if let Some(p) = &approx {
             p.validate();
         }
-        // Resolve the blocking per segment.  The default blocking (the
-        // common case — `ServeConfig` builds an index per micro-batch)
-        // reuses each segment's precomputed maxima instead of rescanning
-        // the norms every batch.
-        let mut segs = Vec::with_capacity(snapshot.items().segment_count());
-        let mut n_blocks = 0usize;
-        let mut max_block = 1usize;
-        let mut quantized = false;
-        for (i, seg) in snapshot.items().segments().iter().enumerate() {
-            let block = item_block.min(seg.len().max(1));
-            let block_max = if block == seg.default_block() {
-                seg.block_max().to_vec()
-            } else {
-                block_max_norms(seg.norms(), block)
-            };
-            let first_block = n_blocks;
-            n_blocks += block_max.len();
-            max_block = max_block.max(block);
-            // Widen the pruning bound by the codec's per-block error so a
-            // skip stays admissible against exact scores (see `bound_max`).
-            let bound_max = match seg.encoded() {
-                Some(slab) => {
-                    quantized = true;
-                    let n = seg.len();
-                    block_max
-                        .iter()
-                        .enumerate()
-                        .map(|(b, &m)| {
-                            let start = b * block;
-                            let end = (start + block).min(n);
-                            m + slab.err_bound(start, end, m)
-                        })
-                        .collect()
-                }
-                None => block_max.clone(),
-            };
-            let bound_suffix = suffix_max_norms(&bound_max);
-            segs.push(IndexSegment {
-                seg: i,
-                item_block: block,
-                block_max,
-                bound_max,
-                bound_suffix,
-                first_block,
-            });
-        }
+        // The default blocking (the common case — the service builds an
+        // index per micro-batch) reuses each segment's precomputed maxima
+        // instead of rescanning the norms every batch.
+        let blocking = snapshot
+            .items()
+            .segments()
+            .iter()
+            .map(|seg| {
+                let block = item_block.min(seg.len().max(1));
+                let block_max = if block == seg.default_block() {
+                    seg.block_max().to_vec()
+                } else {
+                    block_max_norms(seg.norms(), block)
+                };
+                (block, block_max)
+            })
+            .collect();
         Self {
             snapshot,
             score,
-            shards: shards.max(1),
             approx,
-            rerank_factor,
-            quantized,
-            segs,
-            n_blocks,
-            max_block,
+            blocking,
         }
     }
 
@@ -331,45 +120,16 @@ impl TopKIndex {
         &self.snapshot
     }
 
-    /// Number of item shards the catalog is partitioned into (≥ 1; the
-    /// effective count is further capped by the number of item blocks).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The early-termination policy, if this index scans approximately.
     pub fn approx(&self) -> Option<&ApproxPolicy> {
         self.approx.as_ref()
     }
 
-    /// Contiguous block ranges, one per non-empty shard.
-    fn shard_ranges(&self) -> Vec<Range<usize>> {
-        let n_blocks = self.n_blocks;
-        let shards = self.shards.min(n_blocks.max(1));
-        let base = n_blocks / shards;
-        let rem = n_blocks % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0;
-        for s in 0..shards {
-            let len = base + usize::from(s < rem);
-            if len == 0 {
-                continue;
-            }
-            ranges.push(start..start + len);
-            start += len;
-        }
-        if ranges.is_empty() {
-            ranges.push(0..0);
-        }
-        ranges
-    }
-
     /// Scores a micro-batch of queries, returning one ranked
-    /// `(item, score)` list per query, in query order.  `(tile, shard)`
-    /// pairs are scored in parallel; within each pair every item block is
-    /// scored for all tile users with one blocked kernel call, and each
-    /// query's per-shard partial top-k lists are merged into the final
-    /// ranking.
+    /// `(item, score)` list per query, in query order.  Tiles of users are
+    /// scored in parallel; within a tile every item block is scored for all
+    /// tile users with one blocked kernel call.  Out-of-range users get an
+    /// empty list.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Vec<(u32, f32)>> {
         self.query_batch_stats(queries).0
     }
@@ -378,276 +138,41 @@ impl TopKIndex {
     /// counters — the observable half of the norm-ordered layout's value
     /// (more blocks skipped, same results).
     pub fn query_batch_stats(&self, queries: &[Query]) -> (Vec<Vec<(u32, f32)>>, PruneStats) {
-        let ranges = self.shard_ranges();
-        if ranges.len() == 1 {
-            // lint-ok: serve-unwrap guarded by the ranges.len() == 1 branch
-            let range = ranges.into_iter().next().expect("one shard");
-            let tiles: Vec<TilePartials> = queries
-                .par_chunks(USER_TILE)
-                .map(|tile| {
-                    self.score_tile(tile, &TileCtx::new(tile, &self.snapshot), range.clone())
-                })
-                .collect();
-            let mut stats = PruneStats::default();
-            let mut results = Vec::with_capacity(queries.len());
-            for (tile_results, tile_stats) in tiles {
-                stats.merge(&tile_stats);
-                results.extend(tile_results);
-            }
-            let results = self.rerank_exact(queries, results, &mut stats);
-            return (results, stats);
-        }
-
-        let n_shards = ranges.len();
-        let n_tiles = queries.len().div_ceil(USER_TILE);
-        // The per-tile setup (user gather, norms, exclusion sets) is shared
-        // across that tile's shard units — heavy exclusion lists are hashed
-        // once per tile, not once per shard.
-        let contexts: Vec<TileCtx> = queries
-            .par_chunks(USER_TILE)
-            .map(|tile| TileCtx::new(tile, &self.snapshot))
+        let snap = &self.snapshot;
+        let views: Vec<SegmentView<'_>> = snap
+            .items()
+            .segments()
+            .iter()
+            .zip(&self.blocking)
+            .map(|(seg, (block, block_max))| seg.view_with(*block, block_max))
             .collect();
-        let units: Vec<(usize, usize)> = (0..n_tiles)
-            .flat_map(|t| (0..n_shards).map(move |s| (t, s)))
-            .collect();
-        let mut partials: Vec<TilePartials> = units
-            .par_iter()
-            .map(|&(t, s)| {
-                let tile = &queries[t * USER_TILE..((t + 1) * USER_TILE).min(queries.len())];
-                self.score_tile(tile, &contexts[t], ranges[s].clone())
-            })
-            .collect();
-        let mut stats = PruneStats::default();
-        for (_, s) in &partials {
-            stats.merge(s);
-        }
-        let results = queries
+        // Only in-range users are scored; the rest keep an empty list.
+        let (slots, valid): (Vec<usize>, Vec<TileQuery<'_>>) = queries
             .iter()
             .enumerate()
-            .map(|(qi, q)| {
-                let (t, i) = (qi / USER_TILE, qi % USER_TILE);
-                let parts: Vec<Vec<(u32, f32)>> = (0..n_shards)
-                    .map(|s| std::mem::take(&mut partials[t * n_shards + s].0[i]))
-                    .collect();
-                merge_top_k(&parts, self.k_eff(q.k))
+            .filter_map(|(i, q)| {
+                let user = snap.user_vector(q.user)?;
+                let (k, exclude) = (q.k, &q.exclude[..]);
+                Some((i, TileQuery { user, k, exclude }))
+            })
+            .unzip();
+        let tiles: Vec<_> = valid
+            .par_chunks(SCAN_TILE)
+            .map(|tile| {
+                let mut stats = PruneStats::default();
+                let approx = self.approx.as_ref();
+                let lists = scan_top_k(tile, snap.rank(), &views, self.score, approx, &mut stats);
+                (lists, stats)
             })
             .collect();
-        let results = self.rerank_exact(queries, results, &mut stats);
-        (results, stats)
-    }
-
-    /// Candidates the blocked scan keeps per query: `k` on an all-f32 store,
-    /// `ceil(k · rerank_factor)` when any segment is quantized — the
-    /// over-fetch margin the exact rerank draws its replacements from.
-    fn k_eff(&self, k: usize) -> usize {
-        if self.quantized && k > 0 {
-            ((k as f64) * f64::from(self.rerank_factor)).ceil() as usize
-        } else {
-            k
-        }
-    }
-
-    /// Exact-f32 rerank over quantized-scan candidates: rescores each
-    /// query's `k_eff` survivors against the retained exact rows, re-sorts
-    /// under the same (score desc, id asc) total order the heaps use, and
-    /// truncates back to `k`.  A no-op (queries pass through untouched) on
-    /// an all-f32 store, so the full-precision path stays bit-identical to
-    /// the pre-quantization scorer.  Timing and candidate/byte counts fold
-    /// into `stats`.
-    fn rerank_exact(
-        &self,
-        queries: &[Query],
-        results: Vec<Vec<(u32, f32)>>,
-        stats: &mut PruneStats,
-    ) -> Vec<Vec<(u32, f32)>> {
-        if !self.quantized {
-            return results;
-        }
-        let started = Instant::now();
-        let f = self.snapshot.rank();
-        let items = self.snapshot.items();
-        let mut rerank = PruneStats::default();
-        let out: Vec<Vec<(u32, f32)>> = queries
-            .iter()
-            .zip(results)
-            .map(|(q, list)| {
-                let Some(x_u) = self.snapshot.user_vector(q.user) else {
-                    return list;
-                };
-                if list.is_empty() {
-                    return list;
-                }
-                rerank.rerank_candidates += list.len() as u64;
-                rerank.bytes_scanned += (list.len() * f * std::mem::size_of::<f32>()) as u64;
-                let mut rescored: Vec<(u32, f32)> = list
-                    .into_iter()
-                    .map(|(v, _)| {
-                        let row = items.vector(v as usize);
-                        let s = cumf_linalg::score_dot(x_u, row);
-                        let s = match self.score {
-                            ScoreKind::Dot => s,
-                            ScoreKind::Cosine => {
-                                let n = cumf_linalg::blas::norm_sq(row).sqrt();
-                                if n > 0.0 {
-                                    s / n
-                                } else {
-                                    0.0
-                                }
-                            }
-                        };
-                        (v, s)
-                    })
-                    .collect();
-                rescored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                rescored.truncate(q.k);
-                rescored
-            })
-            .collect();
-        if rerank.rerank_candidates > 0 {
-            rerank.rerank_ns = started.elapsed().as_nanos() as u64;
-        }
-        stats.merge(&rerank);
-        out
-    }
-
-    /// Scores one user tile against the global block range `blocks` (the
-    /// shard-partitioned numbering spanning every store segment), returning
-    /// each query's top-k **within that shard** plus the shard's pruning
-    /// counters.  Blocks are resolved segment by segment; a block never
-    /// straddles a segment boundary.
-    fn score_tile(&self, tile: &[Query], ctx: &TileCtx, blocks: Range<usize>) -> TilePartials {
-        let snap = &self.snapshot;
-        let f = snap.rank();
-        let segments = snap.items().segments();
-        let TileCtx {
-            users,
-            valid,
-            user_norms,
-            excluded,
-        } = ctx;
-
-        let mut heaps: Vec<Option<TopK>> = tile
-            .iter()
-            .zip(valid.iter())
-            .map(|(q, &ok)| (ok && q.k > 0).then(|| TopK::new(self.k_eff(q.k))))
-            .collect();
-
+        let mut results = vec![Vec::new(); queries.len()];
         let mut stats = PruneStats::default();
-        let mut scores = vec![0.0f32; tile.len() * self.max_block];
-        let mut dequant = Vec::new();
-        let mut scored_blocks = 0usize;
-        let term_slack = self.approx.as_ref().map(ApproxPolicy::termination_slack);
-        let block_budget = self.approx.as_ref().map_or(0, |p| p.max_blocks);
-        for is in &self.segs {
-            let lo = blocks.start.max(is.first_block);
-            let hi = blocks.end.min(is.first_block + is.block_max.len());
-            if lo >= hi {
-                continue;
-            }
-            let seg = &segments[is.seg];
-            let view = seg.view_with(is.item_block, &is.block_max);
-            let n = seg.len();
-            for b in (lo - is.first_block)..(hi - is.first_block) {
-                let start = b * is.item_block;
-                let end = (start + is.item_block).min(n);
-                // Dot scoring admits a per-block Cauchy–Schwarz bound; skip
-                // the whole block when no user's heap could accept anything
-                // in it.  (Cosine's bound is ‖x_u‖ for every block —
-                // nothing to prune.)
-                if self.score == ScoreKind::Dot {
-                    // Approximate mode first asks the stronger question: can
-                    // anything in the *rest of the segment* beat any heap by
-                    // more than the epsilon slack?  `suffix_max` bounds every
-                    // remaining block, so a "no" ends the segment scan — in a
-                    // norm-descending segment that fires as soon as the first
-                    // prunable block appears.
-                    if let Some(slack) = term_slack {
-                        let done = heaps.iter().enumerate().all(|(i, h)| match h {
-                            Some(h) => h
-                                .threshold()
-                                .is_some_and(|t| user_norms[i] * is.bound_suffix[b] * slack < t),
-                            None => true,
-                        });
-                        if done {
-                            stats.blocks_terminated += (hi - is.first_block - b) as u64;
-                            break;
-                        }
-                    }
-                    let bound = is.bound_max[b] * NORM_BOUND_SLACK;
-                    let prunable = heaps.iter().enumerate().all(|(i, h)| match h {
-                        Some(h) => h.threshold().is_some_and(|t| user_norms[i] * bound < t),
-                        None => true,
-                    });
-                    if prunable {
-                        stats.blocks_pruned += 1;
-                        continue;
-                    }
-                }
-                // The block budget (both score kinds) skips further blocks
-                // once the tile has scored its allowance — but only after
-                // every heap holds its k items, so a k ≥ catalog request is
-                // never cut short.
-                if block_budget > 0
-                    && scored_blocks >= block_budget
-                    && heaps
-                        .iter()
-                        .all(|h| h.as_ref().is_none_or(|h| h.threshold().is_some()))
-                {
-                    stats.blocks_terminated += 1;
-                    continue;
-                }
-                stats.blocks_scored += 1;
-                scored_blocks += 1;
-                let nb = end - start;
-                let out = &mut scores[..tile.len() * nb];
-                match view.encoded {
-                    Some(slab) => {
-                        stats.bytes_scanned += slab.scan_bytes(start, end);
-                        batch_score_rows_quant(
-                            users,
-                            tile.len(),
-                            slab,
-                            start,
-                            end,
-                            f,
-                            &mut dequant,
-                            out,
-                        );
-                    }
-                    None => {
-                        stats.bytes_scanned += (nb * f * std::mem::size_of::<f32>()) as u64;
-                        batch_score_segment(users, tile.len(), &view, start, end, f, out);
-                    }
-                }
-                for (i, heap) in heaps.iter_mut().enumerate() {
-                    let Some(heap) = heap else { continue };
-                    let row = &out[i * nb..(i + 1) * nb];
-                    for (j, &s) in row.iter().enumerate() {
-                        let item = view.global_id(start + j);
-                        if excluded[i].contains(&item) {
-                            continue;
-                        }
-                        let s = match self.score {
-                            ScoreKind::Dot => s,
-                            ScoreKind::Cosine => {
-                                let n = view.norms[start + j];
-                                if n > 0.0 {
-                                    s / n
-                                } else {
-                                    0.0
-                                }
-                            }
-                        };
-                        heap.push(item, s);
-                    }
-                }
+        for ((lists, tile_stats), slots) in tiles.into_iter().zip(slots.chunks(SCAN_TILE)) {
+            stats.merge(&tile_stats);
+            for (list, &i) in lists.into_iter().zip(slots) {
+                results[i] = list;
             }
         }
-
-        let results = heaps
-            .into_iter()
-            .map(|h| h.map(TopK::into_sorted_vec).unwrap_or_default())
-            .collect();
         (results, stats)
     }
 }
@@ -655,7 +180,9 @@ impl TopKIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cumf_linalg::topk::RERANK_FACTOR;
     use cumf_linalg::{FactorMatrix, Precision};
+    use std::collections::HashSet;
 
     fn index(seed: u64, n_users: usize, n_items: usize, score: ScoreKind) -> TopKIndex {
         let snap = FactorSnapshot::from_factors(
@@ -699,11 +226,17 @@ mod tests {
                 exclude: vec![],
             },
         ];
-        let out = idx.query_batch(&queries);
-        assert_eq!(out[0].len(), 3);
-        assert!(out[0].iter().all(|(v, _)| *v >= 97));
-        assert!(out[1].is_empty());
-        assert!(out[2].is_empty());
+        // A quantized store takes the over-fetch + rerank path: invalid
+        // users and k = 0 still skip it, and the rerank keeps full lists.
+        let i8 = Arc::new(idx.snapshot().reencoded(Precision::I8));
+        for idx in [idx.clone(), TopKIndex::new(i8, 64, ScoreKind::Dot)] {
+            let (out, stats) = idx.query_batch_stats(&queries);
+            assert_eq!(out[0].len(), 3);
+            assert!(out[0].iter().all(|(v, _)| *v >= 97));
+            assert!(out[1].is_empty());
+            assert!(out[2].is_empty());
+            assert!(stats.rerank_candidates <= 3, "only user 0 is reranked");
+        }
     }
 
     #[test]
@@ -759,32 +292,6 @@ mod tests {
         assert_eq!(small, large);
     }
 
-    #[test]
-    fn shard_count_is_result_invariant() {
-        for score in [ScoreKind::Dot, ScoreKind::Cosine] {
-            let snap = Arc::new(FactorSnapshot::from_factors(
-                FactorMatrix::random(20, 6, 1.0, 5),
-                FactorMatrix::random(999, 6, 1.0, 6),
-            ));
-            let queries: Vec<Query> = (0..20u32)
-                .map(|u| Query {
-                    user: u,
-                    k: 7,
-                    exclude: vec![u % 13, u % 7],
-                })
-                .collect();
-            let baseline =
-                TopKIndex::with_shards(Arc::clone(&snap), 64, score, 1).query_batch(&queries);
-            // 999 items in 64-blocks = 16 blocks; 7 shards split unevenly,
-            // 100 shards clamp to one per block.
-            for shards in [2usize, 3, 7, 16, 100] {
-                let sharded = TopKIndex::with_shards(Arc::clone(&snap), 64, score, shards)
-                    .query_batch(&queries);
-                assert_eq!(sharded, baseline, "score {score:?} shards {shards}");
-            }
-        }
-    }
-
     /// A skewed-norm catalog (a few heavy items, a long light tail) — the
     /// shape that makes early termination effective under the
     /// norm-descending default layout.
@@ -815,19 +322,15 @@ mod tests {
                 exclude: vec![u % 17],
             })
             .collect();
-        for shards in [1usize, 3, 8] {
-            let exact = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, shards)
-                .query_batch(&queries);
-            let approx = TopKIndex::with_approx(
-                Arc::clone(&snap),
-                64,
-                ScoreKind::Dot,
-                shards,
-                Some(ApproxPolicy::exact()),
-            )
-            .query_batch(&queries);
-            assert_eq!(approx, exact, "shards {shards}");
-        }
+        let exact = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch(&queries);
+        let approx = TopKIndex::with_approx(
+            Arc::clone(&snap),
+            64,
+            ScoreKind::Dot,
+            Some(ApproxPolicy::exact()),
+        )
+        .query_batch(&queries);
+        assert_eq!(approx, exact);
     }
 
     #[test]
@@ -835,13 +338,11 @@ mod tests {
         let snap = skewed_snapshot(16, 8192, 33);
         let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
         let (exact_res, exact_stats) =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1)
-                .query_batch_stats(&queries);
+            TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch_stats(&queries);
         let (approx_res, approx_stats) = TopKIndex::with_approx(
             Arc::clone(&snap),
             64,
             ScoreKind::Dot,
-            1,
             Some(ApproxPolicy::default()),
         )
         .query_batch_stats(&queries);
@@ -869,9 +370,8 @@ mod tests {
         // k ≥ catalog: the heap never fills, the budget never engages —
         // every item comes back, exactly.
         let q = vec![Query::new(0, 1000)];
-        let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&q);
-        let capped = TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Dot, 1, Some(budget))
+        let exact = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch(&q);
+        let capped = TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Dot, Some(budget))
             .query_batch(&q);
         assert_eq!(capped, exact);
         assert_eq!(capped[0].len(), 500);
@@ -879,13 +379,13 @@ mod tests {
         // length.
         let q = vec![Query::new(0, 5)];
         let (capped, stats) =
-            TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Dot, 1, Some(budget))
+            TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Dot, Some(budget))
                 .query_batch_stats(&q);
         assert_eq!(capped[0].len(), 5);
         assert!(stats.blocks_terminated > 0);
         // The budget also bounds Cosine scans (no epsilon bound there).
         let (cos, cos_stats) =
-            TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Cosine, 1, Some(budget))
+            TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Cosine, Some(budget))
                 .query_batch_stats(&q);
         assert_eq!(cos[0].len(), 5);
         assert!(cos_stats.blocks_terminated > 0);
@@ -904,13 +404,11 @@ mod tests {
             FactorMatrix::random(300, f, 1.0, 45),
         ));
         let q = vec![Query::new(2, 9)];
-        let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&q);
+        let exact = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch(&q);
         let (approx, stats) = TopKIndex::with_approx(
             Arc::clone(&snap),
             64,
             ScoreKind::Dot,
-            1,
             Some(ApproxPolicy::with_epsilon(0.5)),
         )
         .query_batch_stats(&q);
@@ -930,10 +428,9 @@ mod tests {
                 exclude: vec![u % 7],
             })
             .collect();
-        let (base, base_stats) = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 3)
-            .query_batch_stats(&queries);
-        let (same, stats) =
-            TopKIndex::with_shards(re, 64, ScoreKind::Dot, 3).query_batch_stats(&queries);
+        let (base, base_stats) =
+            TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch_stats(&queries);
+        let (same, stats) = TopKIndex::new(re, 64, ScoreKind::Dot).query_batch_stats(&queries);
         assert_eq!(same, base, "F32 re-encode must not change results");
         assert_eq!(stats.rerank_candidates, 0, "no rerank on an all-f32 store");
         assert_eq!(stats.rerank_ns, 0);
@@ -951,58 +448,52 @@ mod tests {
                 exclude: vec![u % 5],
             })
             .collect();
-        let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&queries);
+        let exact = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch(&queries);
         let f16 = Arc::new(snap.reencoded(Precision::F16));
-        for shards in [1usize, 3, 8] {
-            let (got, stats) = TopKIndex::with_shards(Arc::clone(&f16), 64, ScoreKind::Dot, shards)
-                .query_batch_stats(&queries);
-            // The rerank rescores with the same 4-lane kernel the exact scan
-            // uses, so a complete candidate set reproduces the exact lists
-            // bit-for-bit — items and scores.
-            assert_eq!(got, exact, "shards {shards}");
-            assert!(stats.rerank_candidates > 0, "quantized scans must rerank");
-            // Blocked-scan bytes (excluding the rerank's exact-row reads,
-            // which scale with k, not catalog size) must roughly halve
-            // against an exact scan producing the same candidate count —
-            // over-fetch weakens the heap threshold, so the fair baseline
-            // is exact retrieval at k_eff, not at k.
-            let scan = stats.bytes_scanned - stats.rerank_candidates * (snap.rank() as u64) * 4;
-            let wide: Vec<Query> = queries
-                .iter()
-                .map(|q| Query {
-                    user: q.user,
-                    k: 2 * q.k,
-                    exclude: q.exclude.clone(),
-                })
-                .collect();
-            let (_, exact_wide) =
-                TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, shards)
-                    .query_batch_stats(&wide);
-            let block_bytes = 64 * snap.rank() as u64 * 4;
-            assert!(
-                scan * 2 <= exact_wide.bytes_scanned + 2 * block_bytes,
-                "f16 scan must halve bytes at matched candidate count: {} vs {}",
-                scan,
-                exact_wide.bytes_scanned
-            );
-        }
+        let (got, stats) =
+            TopKIndex::new(Arc::clone(&f16), 64, ScoreKind::Dot).query_batch_stats(&queries);
+        // The rerank rescores with the same 4-lane kernel the exact scan
+        // uses, so a complete candidate set reproduces the exact lists
+        // bit-for-bit — items and scores.
+        assert_eq!(got, exact);
+        assert!(stats.rerank_candidates > 0, "quantized scans must rerank");
+        // Blocked-scan bytes (excluding the rerank's exact-row reads, which
+        // scale with k, not catalog size) must roughly halve against an
+        // exact scan producing the same candidate count — over-fetch weakens
+        // the heap threshold, so the fair baseline is exact retrieval at
+        // k · RERANK_FACTOR, not at k.
+        let scan = stats.bytes_scanned - stats.rerank_candidates * (snap.rank() as u64) * 4;
+        let wide: Vec<Query> = queries
+            .iter()
+            .map(|q| Query {
+                user: q.user,
+                k: RERANK_FACTOR * q.k,
+                exclude: q.exclude.clone(),
+            })
+            .collect();
+        let (_, exact_wide) =
+            TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch_stats(&wide);
+        let block_bytes = 64 * snap.rank() as u64 * 4;
+        assert!(
+            scan * 2 <= exact_wide.bytes_scanned + 2 * block_bytes,
+            "f16 scan must halve bytes at matched candidate count: {} vs {}",
+            scan,
+            exact_wide.bytes_scanned
+        );
     }
 
     #[test]
     fn i8_scan_cuts_bytes_and_keeps_recall() {
         let snap = skewed_snapshot(16, 4096, 73);
         let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
-        let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&queries);
+        let exact = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch(&queries);
         // Byte baseline at the quantized path's candidate count (see the
         // f16 test for why k_eff, not k, is the fair comparison).
         let wide: Vec<Query> = (0..16u32).map(|u| Query::new(u, 20)).collect();
-        let (_, exact_wide) = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1)
-            .query_batch_stats(&wide);
+        let (_, exact_wide) =
+            TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch_stats(&wide);
         let i8 = Arc::new(snap.reencoded(Precision::I8));
-        let (got, stats) =
-            TopKIndex::with_shards(i8, 64, ScoreKind::Dot, 1).query_batch_stats(&queries);
+        let (got, stats) = TopKIndex::new(i8, 64, ScoreKind::Dot).query_batch_stats(&queries);
         let scan = stats.bytes_scanned - stats.rerank_candidates * (snap.rank() as u64) * 4;
         assert!(
             scan * 2 < exact_wide.bytes_scanned,
@@ -1026,10 +517,9 @@ mod tests {
     fn quantized_cosine_reranks_with_exact_norms() {
         let snap = skewed_snapshot(8, 1000, 74);
         let queries: Vec<Query> = (0..8u32).map(|u| Query::new(u, 8)).collect();
-        let exact = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Cosine, 1)
-            .query_batch(&queries);
+        let exact = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Cosine).query_batch(&queries);
         let f16 = Arc::new(snap.reencoded(Precision::F16));
-        let got = TopKIndex::with_shards(f16, 64, ScoreKind::Cosine, 1).query_batch(&queries);
+        let got = TopKIndex::new(f16, 64, ScoreKind::Cosine).query_batch(&queries);
         assert_eq!(got.len(), exact.len());
         for (e, g) in exact.iter().zip(&got) {
             assert_eq!(g.len(), e.len());
@@ -1044,28 +534,26 @@ mod tests {
     }
 
     #[test]
-    fn rerank_factor_one_still_returns_full_lists() {
-        let snap = Arc::new(skewed_snapshot(4, 300, 75).reencoded(Precision::I8));
-        let queries = vec![Query::new(0, 7), Query::new(9999, 3), Query::new(1, 0)];
-        let (got, stats) = TopKIndex::with_rerank(snap, 64, ScoreKind::Dot, 1, None, 1.0)
-            .query_batch_stats(&queries);
-        assert_eq!(got[0].len(), 7);
-        assert!(got[1].is_empty(), "invalid user skips the rerank");
-        assert!(got[2].is_empty());
-        assert_eq!(stats.rerank_candidates, 7, "factor 1.0 reranks exactly k");
-    }
-
-    #[test]
     fn sharding_an_empty_or_tiny_catalog_is_safe() {
         let snap = Arc::new(FactorSnapshot::from_factors(
             FactorMatrix::random(3, 4, 1.0, 8),
             FactorMatrix::random(2, 4, 1.0, 9),
         ));
         let q = vec![Query::new(0, 5), Query::new(1, 1)];
-        let one = TopKIndex::with_shards(Arc::clone(&snap), 512, ScoreKind::Dot, 1).query_batch(&q);
-        let many =
-            TopKIndex::with_shards(Arc::clone(&snap), 512, ScoreKind::Dot, 8).query_batch(&q);
-        assert_eq!(one, many);
-        assert_eq!(one[0].len(), 2, "catalog smaller than k returns all");
+        let wide = TopKIndex::new(Arc::clone(&snap), 512, ScoreKind::Dot).query_batch(&q);
+        let narrow = TopKIndex::new(Arc::clone(&snap), 1, ScoreKind::Dot).query_batch(&q);
+        assert_eq!(wide, narrow);
+        assert_eq!(wide[0].len(), 2, "catalog smaller than k returns all");
+        assert_eq!(wide[1].len(), 1);
+
+        let empty = Arc::new(FactorSnapshot::from_factors(
+            FactorMatrix::random(3, 4, 1.0, 8),
+            FactorMatrix::zeros(0, 4),
+        ));
+        let none = TopKIndex::new(empty, 512, ScoreKind::Dot).query_batch(&q);
+        assert!(
+            none.iter().all(Vec::is_empty),
+            "an empty catalog has nothing to rank"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! re-encoded at [`Precision::F32`] served through the rerank-capable index
 //! with an `epsilon = 0` policy is **bit-identical** to the pre-quantization
 //! exact path — across random segmentations (delta-appended tails), both
-//! item layouts, shard counts, and blockings.  F32 really is the identity
+//! item layouts, and blockings.  F32 really is the identity
 //! codec, not merely a close approximation.
 
 use cumf_linalg::{FactorMatrix, Precision};
@@ -46,7 +46,6 @@ proptest! {
         tail_b in 0usize..40,
         k in 1usize..12,
         layout_sel in 0usize..2,
-        shards in 1usize..5,
         block_sel in 0usize..3,
     ) {
         let item_block = [16usize, 33, 64][block_sel];
@@ -67,24 +66,22 @@ proptest! {
             })
             .collect();
         for score in [ScoreKind::Dot, ScoreKind::Cosine] {
-            // The pre-quantization path: plain sharded exact index.
-            let exact = TopKIndex::with_shards(Arc::clone(&snap), item_block, score, shards);
+            // The pre-quantization path: plain exact index.
+            let exact = TopKIndex::new(Arc::clone(&snap), item_block, score);
             let (want, want_stats) = exact.query_batch_stats(&queries);
-            // The new path: rerank-capable index over the re-encoded store
-            // with a zero-slack policy and an over-fetch factor armed.
-            let quant = TopKIndex::with_rerank(
+            // The new path: index over the re-encoded store with a
+            // zero-slack policy.
+            let quant = TopKIndex::with_approx(
                 Arc::clone(&re),
                 item_block,
                 score,
-                shards,
                 Some(ApproxPolicy::exact()),
-                2.0,
             );
             let (got, got_stats) = quant.query_batch_stats(&queries);
             prop_assert_eq!(
                 &got, &want,
-                "diverged: layout={:?} shards={} block={} k={} score={:?}",
-                layout, shards, item_block, k, score
+                "diverged: layout={:?} block={} k={} score={:?}",
+                layout, item_block, k, score
             );
             // Identity means identical work too: same blocks scored, no
             // rerank pass, and no quantized bytes on an all-f32 store.

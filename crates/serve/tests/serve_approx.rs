@@ -45,7 +45,6 @@ fn service_config(approx: Option<ApproxPolicy>) -> ServeConfig {
         max_batch: 16,
         max_delay: Duration::from_millis(1),
         workers: 2,
-        shards: 2,
         approx,
         ..ServeConfig::default()
     }
@@ -60,22 +59,32 @@ fn default_policy_meets_target_recall_on_skewed_and_uniform_catalogs() {
     let queries: Vec<Query> = (0..64u32).map(|u| Query::new(u, 10)).collect();
 
     // Skewed: termination fires — require the saving AND the recall floor.
+    // At 512-item blocks exact pruning already scores one block per tile,
+    // the least any scan can score before its heaps fill, so the saving is
+    // measured at 64-item blocks, where exact pruning leaves one to take.
     let skewed = snapshot(
         FactorMatrix::random(64, 8, 1.0, 900),
         skewed_theta(8192, 8, 901),
     );
-    let report = measure_recall(&skewed, &queries, 512, ScoreKind::Dot, 2, &policy);
+    let tiles = queries.len().div_ceil(cumf_linalg::topk::SCAN_TILE) as u64;
+    let coarse = measure_recall(&skewed, &queries, 512, ScoreKind::Dot, &policy);
     assert!(
-        report.mean_recall >= policy.target_recall,
-        "skewed catalog recall below target: {report}"
+        coarse.mean_recall >= policy.target_recall,
+        "skewed catalog recall below target: {coarse}"
     );
     assert!(
-        report.approx_stats.blocks_scored < report.exact_stats.blocks_scored,
-        "approximation saved nothing on the skewed catalog: {report}"
+        coarse.approx_stats.blocks_terminated > 0,
+        "no early termination on the skewed catalog: {coarse}"
+    );
+    assert_eq!(coarse.exact_stats.blocks_scored, tiles, "{coarse}");
+    let fine = measure_recall(&skewed, &queries, 64, ScoreKind::Dot, &policy);
+    assert!(
+        fine.mean_recall >= policy.target_recall,
+        "skewed catalog recall below target at 64-item blocks: {fine}"
     );
     assert!(
-        report.approx_stats.blocks_terminated > 0,
-        "no early termination on the skewed catalog: {report}"
+        fine.approx_stats.blocks_scored < fine.exact_stats.blocks_scored,
+        "approximation saved nothing on the skewed catalog: {fine}"
     );
 
     // Uniform: little to terminate, so recall must stay at least as high.
@@ -83,15 +92,15 @@ fn default_policy_meets_target_recall_on_skewed_and_uniform_catalogs() {
         FactorMatrix::random(64, 8, 1.0, 902),
         FactorMatrix::random(8192, 8, 1.0, 903),
     );
-    let report = measure_recall(&uniform, &queries, 512, ScoreKind::Dot, 2, &policy);
+    let report = measure_recall(&uniform, &queries, 512, ScoreKind::Dot, &policy);
     assert!(
         report.mean_recall >= policy.target_recall,
         "uniform catalog recall below target: {report}"
     );
 }
 
-/// Recall holds across shard counts — sharding re-partitions the scan but
-/// must not change what the policy is allowed to skip.
+/// Recall holds across blockings — the block size re-partitions the scan
+/// but must not change what the policy is allowed to skip.
 #[test]
 fn default_policy_recall_holds_for_every_shard_count() {
     let policy = ApproxPolicy::default();
@@ -100,11 +109,11 @@ fn default_policy_recall_holds_for_every_shard_count() {
         skewed_theta(4096, 8, 911),
     );
     let queries: Vec<Query> = (0..32u32).map(|u| Query::new(u, 10)).collect();
-    for shards in [1usize, 3, 8] {
-        let report = measure_recall(&snap, &queries, 512, ScoreKind::Dot, shards, &policy);
+    for item_block in [64usize, 512, 2048] {
+        let report = measure_recall(&snap, &queries, item_block, ScoreKind::Dot, &policy);
         assert!(
             report.mean_recall >= policy.target_recall,
-            "shards {shards}: {report}"
+            "item block {item_block}: {report}"
         );
     }
 }

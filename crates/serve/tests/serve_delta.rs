@@ -3,7 +3,7 @@
 //! The contract under test: a [`SnapshotDelta`] applied through
 //! `publish_delta` must be **observationally identical** to tearing the
 //! snapshot down and rebuilding it from the post-delta factor matrices —
-//! for every shard count, every worker count, with the targeted cache
+//! for every worker count, with the targeted cache
 //! invalidation in between — while physically copying only `O(u·f)` user
 //! factor bytes (the byte-accounting test) and surviving interleaved full
 //! and delta publishes under concurrent load (the hot-swap test).
@@ -93,8 +93,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Acceptance invariant: retrieval after `apply_delta` is bit-identical
-    /// to a full snapshot rebuild with the same factors, for every shard
-    /// count.
+    /// to a full snapshot rebuild with the same factors.
     #[test]
     fn delta_retrieval_is_bit_identical_to_full_rebuild(
         (m, n, f, seed) in (70usize..200, 150usize..700, 4usize..12, 0u64..1000),
@@ -126,21 +125,18 @@ proptest! {
             prop_assert_eq!(next.user_vector(u), rebuilt.user_vector(u), "user {}", u);
         }
 
-        // Batched, sharded retrieval over the delta-built snapshot is
-        // bit-identical to the rebuilt snapshot for every shard count.
+        // Batched retrieval over the delta-built snapshot is bit-identical
+        // to the rebuilt snapshot.
         let queries: Vec<Query> = (0..next.n_users() as u32)
             .map(|u| Query { user: u, k: 8, exclude: vec![u % 17] })
             .collect();
         let expected = TopKIndex::new(Arc::new(rebuilt), 64, ScoreKind::Dot).query_batch(&queries);
-        for shards in [1usize, 2, 5] {
-            let got = TopKIndex::with_shards(Arc::new(next.clone()), 64, ScoreKind::Dot, shards)
-                .query_batch(&queries);
-            prop_assert_eq!(&got, &expected, "shards {}", shards);
-        }
+        let got = TopKIndex::new(Arc::new(next), 64, ScoreKind::Dot).query_batch(&queries);
+        prop_assert_eq!(got, expected);
     }
 }
 
-/// Service-level bit-identity across worker × shard combinations, with the
+/// Service-level bit-identity across worker counts, with the
 /// targeted cache invalidation on the path.
 #[test]
 fn service_replies_after_delta_match_full_rebuild_for_every_pool_shape() {
@@ -155,12 +151,11 @@ fn service_replies_after_delta_match_full_rebuild_for_every_pool_shape() {
     let (x_full, theta_full) = spec.rebuild(&x, &theta);
     let rebuilt = FactorSnapshot::from_factors(x_full, theta_full);
 
-    for (workers, shards) in [(1usize, 1usize), (1, 4), (3, 1), (4, 3)] {
+    for workers in [1usize, 3, 4] {
         let service = TopKService::start(
             FactorSnapshot::from_factors(x.clone(), theta.clone()),
             ServeConfig {
                 workers,
-                shards,
                 max_batch: 8,
                 max_delay: Duration::from_millis(1),
                 ..Default::default()
@@ -180,7 +175,7 @@ fn service_replies_after_delta_match_full_rebuild_for_every_pool_shape() {
         for u in 0..rebuilt.n_users() as u32 {
             let got = client.recommend(u, 6, &[]).unwrap();
             let expect = rebuilt.recommend_one(u, 6, &[]);
-            assert_eq!(got, expect, "workers {workers} shards {shards} user {u}");
+            assert_eq!(got, expect, "workers {workers} user {u}");
         }
         assert_eq!(service.metrics().delta_publishes, 1);
         assert_eq!(service.poisoned(), None);
@@ -384,7 +379,6 @@ fn interleaved_full_and_delta_publishes_never_mix_states() {
         states[0].clone(),
         ServeConfig {
             workers: 2,
-            shards: 2,
             max_batch: 16,
             max_delay: Duration::from_millis(1),
             ..Default::default()

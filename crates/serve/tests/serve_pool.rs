@@ -1,14 +1,11 @@
-//! The scale-out invariants of the sharded worker pool: every shard count ×
-//! worker count combination must reply **bit-identically** to the
-//! single-worker, single-shard PR 2 baseline; shutdown must drain what was
-//! queued and reject what comes later; and the byte-budgeted cache must
-//! bound memory under heavy-exclusion traffic without changing replies.
+//! The scale-out invariants of the scorer worker pool: every worker count
+//! must reply **bit-identically** to the single-worker baseline; shutdown
+//! must drain what was queued and reject what comes later; and the
+//! byte-budgeted cache must bound memory under heavy-exclusion traffic
+//! without changing replies.
 
 use cumf_linalg::FactorMatrix;
-use cumf_serve::{
-    FactorSnapshot, Query, ScoreKind, ServeConfig, ServeError, TopKIndex, TopKService,
-};
-use proptest::prelude::*;
+use cumf_serve::{FactorSnapshot, Query, ServeConfig, ServeError, TopKService};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,13 +47,12 @@ fn shard_and_worker_counts_are_reply_invariant() {
     let snap = snapshot(42, 48, 999, 8);
     let queries = test_queries(48);
 
-    // PR 2 baseline: one worker, one shard.
+    // Baseline: one worker.
     let baseline = {
         let service = TopKService::start(
             snap.clone(),
             ServeConfig {
                 workers: 1,
-                shards: 1,
                 cache_capacity: 0, // force the scorer on every request
                 max_delay: Duration::from_millis(1),
                 ..Default::default()
@@ -68,25 +64,19 @@ fn shard_and_worker_counts_are_reply_invariant() {
         assert_eq!(reply.len(), 7);
     }
 
-    for shards in [1usize, 2, 7] {
-        for workers in [1usize, 4] {
-            let service = TopKService::start(
-                snap.clone(),
-                ServeConfig {
-                    workers,
-                    shards,
-                    cache_capacity: 0,
-                    max_delay: Duration::from_millis(1),
-                    ..Default::default()
-                },
-            );
-            let got = serve_all(&service, &queries);
-            assert_eq!(
-                got, baseline,
-                "replies drifted at shards={shards} workers={workers}"
-            );
-            assert_eq!(service.metrics().worker_panics, 0);
-        }
+    for workers in [1usize, 2, 4] {
+        let service = TopKService::start(
+            snap.clone(),
+            ServeConfig {
+                workers,
+                cache_capacity: 0,
+                max_delay: Duration::from_millis(1),
+                ..Default::default()
+            },
+        );
+        let got = serve_all(&service, &queries);
+        assert_eq!(got, baseline, "replies drifted at workers={workers}");
+        assert_eq!(service.metrics().worker_panics, 0);
     }
 }
 
@@ -101,7 +91,6 @@ fn concurrent_pool_traffic_stays_bit_identical() {
         snap,
         ServeConfig {
             workers: 4,
-            shards: 4,
             max_delay: Duration::from_millis(1),
             ..Default::default()
         },
@@ -207,34 +196,4 @@ fn byte_budget_bounds_cache_without_changing_replies() {
         "expected budget-driven rescoring, got {} misses",
         m.cache_misses
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Index-level property: for random snapshots, random blockings and
-    /// random shard counts, the sharded scorer is bit-identical to the
-    /// unsharded one (both score kinds).
-    #[test]
-    fn sharded_index_matches_unsharded(
-        seed in 0u64..1_000,
-        n_items in 1usize..400,
-        item_block in 1usize..96,
-        shards in 1usize..10,
-        k in 1usize..12,
-        cosine in 0u8..2,
-    ) {
-        let score = if cosine == 1 { ScoreKind::Cosine } else { ScoreKind::Dot };
-        let snap = Arc::new(snapshot(seed, 12, n_items, 6));
-        let queries: Vec<Query> = (0..12u32)
-            .map(|u| Query { user: u, k, exclude: vec![u % 5, u % 3] })
-            .collect();
-        let baseline =
-            TopKIndex::with_shards(Arc::clone(&snap), item_block, score, 1)
-                .query_batch(&queries);
-        let sharded =
-            TopKIndex::with_shards(Arc::clone(&snap), item_block, score, shards)
-                .query_batch(&queries);
-        prop_assert_eq!(baseline, sharded);
-    }
 }

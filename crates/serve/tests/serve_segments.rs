@@ -1,9 +1,10 @@
 //! The segmented, norm-ordered ItemStore's contract:
 //!
 //! 1. **Bit-identity** — retrieval over {one segment, base + appended
-//!    tails, post-compaction} × {catalog-order, norm-descending} × shard
-//!    counts returns byte-for-byte the same rankings as a contiguous
-//!    catalog-order rebuild.
+//!    tails, post-compaction} × {catalog-order, norm-descending} returns
+//!    byte-for-byte the same rankings as a contiguous catalog-order
+//!    rebuild, and single-request retrieval (`recommend_one`) equals the
+//!    batched lists at every storage precision.
 //! 2. **Id remap round trip** — a permuted store resolves every catalog id
 //!    back to the original factor row, and rankings carry catalog ids.
 //! 3. **O(a·f) item appends** — an item-appending delta copies exactly the
@@ -12,7 +13,7 @@
 //!    norm-descending layout skips strictly more blocks than catalog order
 //!    (the new pruning counters), with identical results.
 
-use cumf_linalg::FactorMatrix;
+use cumf_linalg::{FactorMatrix, Precision};
 use cumf_serve::{
     ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig, TopKIndex, TopKService,
 };
@@ -89,8 +90,8 @@ fn variants(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Acceptance invariant: every (variant, layout, shard count, score
-    /// kind) combination is bit-identical to the contiguous catalog-order
+    /// Acceptance invariant: every (variant, layout, score kind)
+    /// combination is bit-identical to the contiguous catalog-order
     /// baseline — and approximate retrieval with `epsilon = 0` and no
     /// block budget is bit-identical to all of them.
     #[test]
@@ -118,25 +119,18 @@ proptest! {
         for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
             for (name, snap) in variants(&x, &theta, &cuts, layout) {
                 let snap = Arc::new(snap);
-                for shards in [1usize, 3, 7] {
-                    let got = TopKIndex::with_shards(Arc::clone(&snap), 64, score, shards)
-                        .query_batch(&queries);
-                    prop_assert_eq!(
-                        &got, &baseline,
-                        "{} {:?} shards {} score {:?}", name, layout, shards, score
-                    );
-                    // Epsilon-zero approximate mode must not change a bit
-                    // either, for any segmentation × layout × shard count ×
-                    // score kind.
-                    let approx = TopKIndex::with_approx(
-                        Arc::clone(&snap), 64, score, shards, Some(ApproxPolicy::exact()),
-                    )
-                    .query_batch(&queries);
-                    prop_assert_eq!(
-                        &approx, &baseline,
-                        "approx eps=0 {} {:?} shards {} score {:?}", name, layout, shards, score
-                    );
-                }
+                let got = TopKIndex::new(Arc::clone(&snap), 64, score).query_batch(&queries);
+                prop_assert_eq!(&got, &baseline, "{} {:?} score {:?}", name, layout, score);
+                // Epsilon-zero approximate mode must not change a bit
+                // either, for any segmentation × layout × score kind.
+                let approx = TopKIndex::with_approx(
+                    Arc::clone(&snap), 64, score, Some(ApproxPolicy::exact()),
+                )
+                .query_batch(&queries);
+                prop_assert_eq!(
+                    &approx, &baseline,
+                    "approx eps=0 {} {:?} score {:?}", name, layout, score
+                );
                 // The single-request path agrees too.
                 let one = snap.recommend_one(0, k, &[0, 19]);
                 prop_assert_eq!(
@@ -145,6 +139,55 @@ proptest! {
                         .remove(0).1.recommend_one(0, k, &[0, 19]),
                     "recommend_one {} {:?}", name, layout
                 );
+            }
+        }
+    }
+
+    /// Single-request retrieval runs the same scan as the batched index, so
+    /// at every storage precision — where the scan decodes f16/i8 slabs and
+    /// reranks over-fetched candidates against exact rows — each user's
+    /// `recommend_one` list equals its batched list bit for bit, across
+    /// segmentations (appended tails) and layouts.  `recommend_one` scores
+    /// by Dot; for both score kinds a batch also equals its queries scored
+    /// one at a time.
+    #[test]
+    fn recommend_one_matches_batched_lists_at_every_precision(
+        (m, n, f, seed) in (8usize..24, 200usize..600, 4usize..10, 0u64..500),
+        cut_a in 1usize..100,
+        cut_b in 0usize..100,
+        k in 1usize..10,
+    ) {
+        let (x, theta) = factors(seed, m, n, f);
+        let mut cuts = vec![cut_a.min(n - 1).max(1), (cut_a + cut_b).min(n - 1).max(1), n];
+        cuts.dedup();
+        let queries: Vec<Query> = (0..m as u32)
+            .map(|u| Query { user: u, k, exclude: vec![u % 19, u % 7] })
+            .collect();
+        for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
+            for (name, snap) in variants(&x, &theta, &cuts, layout) {
+                for precision in [Precision::F32, Precision::F16, Precision::I8] {
+                    let snap = Arc::new(snap.reencoded(precision));
+                    for score in [ScoreKind::Dot, ScoreKind::Cosine] {
+                        let index = TopKIndex::new(Arc::clone(&snap), 64, score);
+                        let batched = index.query_batch(&queries);
+                        for (q, list) in queries.iter().zip(&batched) {
+                            prop_assert_eq!(list.len(), k);
+                            let alone = index.query_batch(std::slice::from_ref(q)).remove(0);
+                            prop_assert_eq!(
+                                &alone, list,
+                                "one-query batch {} {:?} {} {:?} user {}",
+                                name, layout, precision, score, q.user
+                            );
+                            if score == ScoreKind::Dot {
+                                prop_assert_eq!(
+                                    &snap.recommend_one(q.user, q.k, &q.exclude), list,
+                                    "recommend_one {} {:?} {} user {}",
+                                    name, layout, precision, q.user
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -168,7 +211,7 @@ proptest! {
         let mut prev_scored = u64::MAX;
         for eps in [0.0f32, 0.05, 0.1, 0.2, 0.4, 0.8] {
             let report = cumf_serve::measure_recall(
-                &snap, &queries, 64, ScoreKind::Dot, 1, &ApproxPolicy::with_epsilon(eps),
+                &snap, &queries, 64, ScoreKind::Dot, &ApproxPolicy::with_epsilon(eps),
             );
             prop_assert!(
                 report.mean_recall <= prev_recall + 1e-12,
