@@ -1,39 +1,13 @@
-//! Small ALS helpers shared by the ALS-family baselines (PALS and the
-//! SparkALS-style solver).
+//! Factor-initialization helpers shared by the baselines.
 //!
-//! These deliberately do not reuse `cumf-core`'s engines: the baselines are
-//! meant to be stand-alone re-implementations of the competing systems, the
-//! way an external comparison would be run.
+//! The ALS-family baselines (PALS and the SparkALS-style solver) keep their
+//! own partitioning and communication schemes — the part of the competing
+//! systems under comparison — but solve each row with `cumf-core`'s one ALS
+//! row solver ([`cumf_core::als::kernels::solve_rows`]), so their numerics
+//! are exactly the core engines'.
 
-use cumf_linalg::blas::{add_diagonal, axpy, syr_full};
-use cumf_linalg::cholesky::cholesky_solve;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::Csr;
-
-/// Solves the normal equation of one row `u` of `r` against the `fixed`
-/// factors (weighted-λ regularization) and writes the result into `out`.
-pub fn solve_row(r: &Csr, u: u32, fixed: &FactorMatrix, lambda: f32, out: &mut [f32]) {
-    let f = fixed.rank();
-    debug_assert_eq!(out.len(), f);
-    let (cols, vals) = r.row(u);
-    if cols.is_empty() {
-        out.fill(0.0);
-        return;
-    }
-    let mut a = vec![0.0f32; f * f];
-    let mut b = vec![0.0f32; f];
-    for (&v, &val) in cols.iter().zip(vals.iter()) {
-        let tv = fixed.vector(v as usize);
-        syr_full(&mut a, tv);
-        axpy(val, tv, &mut b);
-    }
-    add_diagonal(&mut a, f, lambda * cols.len() as f32);
-    if cholesky_solve(&mut a, f, &mut b).is_ok() {
-        out.copy_from_slice(&b);
-    } else {
-        out.fill(0.0);
-    }
-}
 
 /// Random factor initialization shared by the baselines (same scaling as the
 /// core engines so convergence curves are comparable).
@@ -63,29 +37,6 @@ pub fn init_factors_to_mean(n: usize, f: usize, seed: u64, mean: f32) -> FactorM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumf_sparse::Coo;
-
-    #[test]
-    fn solve_row_recovers_rank1_factor() {
-        let fixed = FactorMatrix::from_vec(3, 1, vec![1.0, 2.0, 4.0]);
-        let mut coo = Coo::new(1, 3);
-        for v in 0..3u32 {
-            coo.push(0, v, 3.0 * fixed.vector(v as usize)[0]).unwrap();
-        }
-        let r = coo.to_csr();
-        let mut out = vec![0.0f32];
-        solve_row(&r, 0, &fixed, 1e-9, &mut out);
-        assert!((out[0] - 3.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn empty_row_is_zeroed() {
-        let fixed = FactorMatrix::random(3, 2, 1.0, 1);
-        let r = Coo::new(2, 3).to_csr();
-        let mut out = vec![9.0f32; 2];
-        solve_row(&r, 1, &fixed, 0.1, &mut out);
-        assert_eq!(out, vec![0.0, 0.0]);
-    }
 
     #[test]
     fn init_factors_is_seeded() {

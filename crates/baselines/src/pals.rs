@@ -8,6 +8,7 @@
 //! accessor exposes exactly the quantity that blows up.
 
 use crate::als_util;
+use cumf_core::als::kernels::solve_side;
 use cumf_core::{Engine, TrainMetrics};
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{horizontal_partition, Csr, Entry, SparseBlock};
@@ -88,20 +89,11 @@ impl Pals {
     ) -> FactorMatrix {
         let mut out = FactorMatrix::zeros(out_len, f);
         // Each "worker" (block) solves its own rows against the replicated
-        // fixed factors; workers run in parallel.
+        // fixed factors; workers run in parallel.  Horizontal partitioning
+        // keeps the full column range, so block column ids index `fixed`.
         let results: Vec<(u32, FactorMatrix)> = blocks
             .par_iter()
-            .map(|block| {
-                let mut local = FactorMatrix::zeros(block.n_rows() as usize, f);
-                // The block has *global* column indices because horizontal
-                // partitioning keeps the full column range.
-                for u in 0..block.n_rows() {
-                    let mut row = vec![0.0f32; f];
-                    als_util::solve_row(&block.csr, u, fixed, lambda, &mut row);
-                    local.vector_mut(u as usize).copy_from_slice(&row);
-                }
-                (block.row_start, local)
-            })
+            .map(|block| (block.row_start, solve_side(&block.csr, fixed, lambda, None)))
             .collect();
         for (row_start, local) in results {
             for u in 0..local.len() {

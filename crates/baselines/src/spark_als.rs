@@ -9,6 +9,7 @@
 //! communication volume so the claims can be checked quantitatively.
 
 use crate::als_util;
+use cumf_core::als::kernels::solve_rows;
 use cumf_core::{Engine, TrainMetrics};
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{horizontal_partition, Csr, Entry, SparseBlock};
@@ -134,25 +135,16 @@ impl SparkAlsStyle {
                         .copy_from_slice(fixed.vector(v as usize));
                 }
 
-                // Step 3: solve the partition's rows against the shipped subset.
-                // Re-index the block's columns into the local subset first.
-                let mut local = FactorMatrix::zeros(block.n_rows() as usize, f);
-                for u in 0..block.n_rows() {
-                    let (cols, vals) = block.csr.row(u);
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    // Build a tiny one-row CSR in local column space.
-                    let mut coo = cumf_sparse::Coo::new(1, needed.len() as u32);
-                    for (&c, &val) in cols.iter().zip(vals.iter()) {
-                        coo.push(0, local_index[&c] as u32, val)
-                            .expect("local index in range");
-                    }
-                    let local_row = coo.to_csr();
-                    let mut row = vec![0.0f32; f];
-                    als_util::solve_row(&local_row, 0, &local_fixed, lambda, &mut row);
-                    local.vector_mut(u as usize).copy_from_slice(&row);
-                }
+                // Step 3: solve the partition's rows against the shipped
+                // subset, resolving each global column through the local
+                // index.
+                let local = solve_rows(
+                    &block.csr,
+                    f,
+                    lambda,
+                    |v| local_fixed.vector(local_index[&v]),
+                    None,
+                );
                 (block.row_start, local, needed.len() as u64)
             })
             .collect();

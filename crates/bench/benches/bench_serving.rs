@@ -599,8 +599,8 @@ fn bench_fold_in(c: &mut Criterion) {
     let ratings = ratings_rows(&rating_lists, n_items as u32);
     let lambda = 0.05;
 
-    let materialized = fold_in_users(&ratings, &snap.item_factors_matrix(), lambda);
-    let segmented = fold_in_users_segmented(&ratings, &snap.items().views(), F, lambda);
+    let materialized = fold_in_users(&ratings, &snap.item_factors_matrix(), lambda, None);
+    let segmented = fold_in_users_segmented(&ratings, &snap.items().views(), F, lambda, None);
     gate(
         (0..batch_users).all(|u| materialized.vector(u) == segmented.vector(u)),
         || "fold_in: materialized and segmented paths must agree bit-for-bit".to_string(),
@@ -616,7 +616,12 @@ fn bench_fold_in(c: &mut Criterion) {
             b.iter(|| {
                 // The pre-online-loop path: copy the whole segmented
                 // catalog into one contiguous Θ, then solve.
-                black_box(fold_in_users(&ratings, &snap.item_factors_matrix(), lambda))
+                black_box(fold_in_users(
+                    &ratings,
+                    &snap.item_factors_matrix(),
+                    lambda,
+                    None,
+                ))
             });
         },
     );
@@ -630,6 +635,7 @@ fn bench_fold_in(c: &mut Criterion) {
                     &snap.items().views(),
                     F,
                     lambda,
+                    None,
                 ))
             });
         },

@@ -376,7 +376,7 @@ fn main() {
             let ratings = ratings_rows(&rating_lists, args.items as u32);
             // The segmented solve reads the serving segments in place —
             // no contiguous catalog-order Θ is ever materialized.
-            let rows = fold_in_users_segmented(&ratings, &snap.items().views(), args.f, 0.05);
+            let rows = fold_in_users_segmented(&ratings, &snap.items().views(), args.f, 0.05, None);
             let mut delta = snap.delta();
             for (i, &u) in batch_users.iter().enumerate() {
                 delta.update_user(u, rows.vector(i));

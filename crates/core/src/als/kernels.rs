@@ -1,6 +1,7 @@
-//! Numerical kernels shared by every ALS engine.
+//! The one ALS row solver every engine, fold-in path and ALS baseline runs.
 //!
-//! Every engine in this crate — the reference CPU ALS, MO-ALS and SU-ALS —
+//! Every ALS engine in this crate — the reference CPU ALS, MO-ALS and
+//! SU-ALS — plus incremental fold-in and the PALS/SparkALS baselines
 //! computes exactly the same update (equation (2) of the paper):
 //!
 //! ```text
@@ -9,13 +10,16 @@
 //!
 //! What differs between engines is *where the bytes move on the simulated
 //! GPU*, which is handled by the traffic models in [`crate::als::mo`] and
-//! [`crate::als::su`].  Keeping the numerics in one place guarantees the
-//! engines agree bit-for-bit up to floating-point summation order, which the
-//! integration tests check.
+//! [`crate::als::su`].  The numerics are two private steps — assembly (the
+//! `get_hermitian` kernel: one `syr_full` + `axpy` per rating) and finish (the
+//! weighted-λ ridge plus a Cholesky solve, `batch_solve` in the paper) —
+//! driven either by the fused row loop [`solve_rows`] or, for SU-ALS, split
+//! around a cross-partition reduction ([`partial_hermitians`] →
+//! [`accumulate_partials`] → [`finalize_and_solve`]).  A change to either
+//! step reaches every caller at once.
 
 use crate::instrument::TrainMetrics;
-use cumf_linalg::batch::batch_solve;
-use cumf_linalg::blas::{add_diagonal, syr_axpy};
+use cumf_linalg::blas::{add_diagonal, axpy, syr_full};
 use cumf_linalg::cholesky::cholesky_solve;
 use cumf_linalg::FactorMatrix;
 use cumf_obs::ns_between;
@@ -23,38 +27,69 @@ use cumf_sparse::Csr;
 use rayon::prelude::*;
 use std::time::Instant;
 
+/// Assembly step: accumulates one row's Hermitian `a` (`f × f`) and
+/// right-hand side `b` over its ratings, resolving each column through
+/// `fixed`.  Ratings are visited in CSR order.
+fn assemble_row<'a>(
+    a: &mut [f32],
+    b: &mut [f32],
+    cols: &[u32],
+    vals: &[f32],
+    fixed: impl Fn(u32) -> &'a [f32],
+) {
+    for (&v, &val) in cols.iter().zip(vals.iter()) {
+        // The scalar pair auto-vectorizes better than the hand-unrolled
+        // `syr_axpy` on x86-64 (and is bit-identical to it by that
+        // function's contract).
+        let theta_v = fixed(v);
+        syr_full(a, theta_v);
+        axpy(val, theta_v, b);
+    }
+}
+
+/// Finish step: adds the weighted-λ ridge `λ · degree` to an assembled
+/// system and solves it in place, writing the solution to `x_u`.  A
+/// (numerically) singular system yields a zero vector rather than
+/// propagating NaNs or a raw right-hand side.
+fn finish_row(a: &mut [f32], b: &mut [f32], degree: usize, lambda: f32, x_u: &mut [f32]) {
+    let f = x_u.len();
+    add_diagonal(a, f, lambda * degree as f32);
+    if cholesky_solve(a, f, b).is_ok() {
+        x_u.copy_from_slice(b);
+    } else {
+        x_u.fill(0.0);
+    }
+}
+
 /// Solves one side of the ALS update with the fused per-row kernel: for each
-/// row `u` of `r`, builds the regularized Hermitian and right-hand side and
-/// solves it immediately.
+/// row `u` of `r`, assembles the regularized Hermitian and right-hand side
+/// and solves it immediately, in parallel over rows.
 ///
-/// * `r` — ratings with the *solved* entities as rows (pass `R` to update
-///   `X`, `Rᵀ` to update `Θ`).
-/// * `fixed` — the factor matrix of the other side, indexed by `r`'s columns.
+/// * `r` — ratings with the *solved* entities as rows.
+/// * `f` — the latent rank.
 /// * `lambda` — weighted-λ regularization; each row's ridge is
 ///   `λ · n_{x_u}`.
+/// * `fixed` — looks up the other side's factor vector (length `f`) for a
+///   column id of `r`.  Generic, so each caller's lookup inlines into the
+///   assembly loop.
+/// * `metrics` — when present, each non-empty row records its assembly and
+///   solve phases and the whole call lands in the `solve_side` histogram;
+///   with `None` no clock is read.  Results are identical either way.
 ///
 /// Rows with no ratings get a zero vector (their system is singular under
 /// weighted regularization, matching the behaviour of the original cuMF).
-pub fn solve_side(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
-    solve_side_instrumented(r, fixed, lambda, None)
-}
-
-/// [`solve_side`] with optional per-row phase timing.
-///
-/// When `metrics` is present, each non-empty row records its
-/// Hermitian-assembly and solve phase separately (plus the whole call into
-/// the `solve_side` histogram); with `None` the timing branches compile to
-/// nothing on the hot path.  Results are identical either way.
-pub fn solve_side_instrumented(
+pub fn solve_rows<'a, F>(
     r: &Csr,
-    fixed: &FactorMatrix,
+    f: usize,
     lambda: f32,
+    fixed: F,
     metrics: Option<&TrainMetrics>,
-) -> FactorMatrix {
+) -> FactorMatrix
+where
+    F: Fn(u32) -> &'a [f32] + Sync,
+{
     let call_start = metrics.map(|_| Instant::now());
-    let f = fixed.rank();
-    let m = r.n_rows() as usize;
-    let mut out = FactorMatrix::zeros(m, f);
+    let mut out = FactorMatrix::zeros(r.n_rows() as usize, f);
 
     out.data_mut()
         .par_chunks_mut(f)
@@ -67,18 +102,9 @@ pub fn solve_side_instrumented(
             let row_start = metrics.map(|_| Instant::now());
             let mut a = vec![0.0f32; f * f];
             let mut b = vec![0.0f32; f];
-            for (&v, &val) in cols.iter().zip(vals.iter()) {
-                // Fused four-lane assembly step; bit-identical to the
-                // scalar syr_full + axpy pair (see `syr_axpy`'s contract).
-                syr_axpy(&mut a, &mut b, fixed.vector(v as usize), val);
-            }
+            assemble_row(&mut a, &mut b, cols, vals, &fixed);
             let assembled = metrics.map(|_| Instant::now());
-            add_diagonal(&mut a, f, lambda * cols.len() as f32);
-            if cholesky_solve(&mut a, f, &mut b).is_ok() {
-                x_u.copy_from_slice(&b);
-            }
-            // On (numerically) singular systems the row keeps its zero
-            // initialization rather than propagating NaNs.
+            finish_row(&mut a, &mut b, cols.len(), lambda, x_u);
             if let (Some(m), Some(t0), Some(t1)) = (metrics, row_start, assembled) {
                 m.record_row(ns_between(t0, t1), ns_between(t1, Instant::now()));
             }
@@ -87,6 +113,29 @@ pub fn solve_side_instrumented(
         m.record_solve_side(t0.elapsed());
     }
     out
+}
+
+/// [`solve_rows`] against a contiguous factor matrix: one half-iteration of
+/// training.
+///
+/// * `r` — ratings with the *solved* entities as rows (pass `R` to update
+///   `X`, `Rᵀ` to update `Θ`).
+/// * `fixed` — the factor matrix of the other side, indexed by `r`'s columns.
+/// * `lambda` — weighted-λ regularization.
+/// * `metrics` — optional per-row phase and whole-call timing.
+pub fn solve_side(
+    r: &Csr,
+    fixed: &FactorMatrix,
+    lambda: f32,
+    metrics: Option<&TrainMetrics>,
+) -> FactorMatrix {
+    solve_rows(
+        r,
+        fixed.rank(),
+        lambda,
+        |v| fixed.vector(v as usize),
+        metrics,
+    )
 }
 
 /// Per-row partial Hermitians and right-hand sides over a *block* of `R`
@@ -116,9 +165,7 @@ pub fn partial_hermitians(
         .enumerate()
         .for_each(|(u, (a, b))| {
             let (cols, vals) = block.row(u as u32);
-            for (&v, &val) in cols.iter().zip(vals.iter()) {
-                syr_axpy(a, b, fixed_part.vector(v as usize), val);
-            }
+            assemble_row(a, b, cols, vals, |v| fixed_part.vector(v as usize));
         });
     (hermitians, rhs)
 }
@@ -143,11 +190,12 @@ pub fn accumulate_partials(acc_a: &mut [f32], acc_b: &mut [f32], part_a: &[f32],
         .for_each(|(acc, p)| *acc += p);
 }
 
-/// Adds the weighted-λ ridge to every reduced Hermitian and solves the batch
-/// (Algorithm 3 line 17).
+/// Adds the weighted-λ ridge to every reduced Hermitian and solves each row
+/// with the same finish step as [`solve_rows`] (Algorithm 3 line 17).
 ///
 /// `row_degrees[u]` must be the row's total number of ratings across *all*
-/// column partitions.
+/// column partitions.  Rows with no ratings, and rows whose system is
+/// singular, get a zero vector.
 pub fn finalize_and_solve(
     hermitians: &mut [f32],
     rhs: &mut [f32],
@@ -163,40 +211,18 @@ pub fn finalize_and_solve(
     );
     assert_eq!(rhs.len(), rows * f, "rhs buffer size mismatch");
 
-    hermitians
-        .par_chunks_mut(f * f)
-        .enumerate()
-        .for_each(|(u, a)| {
-            let ridge = lambda * row_degrees[u] as f32;
-            if row_degrees[u] > 0 {
-                add_diagonal(a, f, ridge);
+    let mut out = FactorMatrix::zeros(rows, f);
+    out.data_mut()
+        .par_chunks_mut(f)
+        .zip(hermitians.par_chunks_mut(f * f))
+        .zip(rhs.par_chunks_mut(f))
+        .zip(row_degrees.par_iter())
+        .for_each(|(((x_u, a), b), &degree)| {
+            if degree > 0 {
+                finish_row(a, b, degree, lambda, x_u);
             }
         });
-
-    batch_solve(hermitians, rhs, f);
-
-    // Rows with no ratings stay at zero: their "solution" from the failed
-    // factorization is whatever was in rhs (all zeros, since no partial
-    // contributed), which is already the desired value.
-    let mut out = FactorMatrix::zeros(rows, f);
-    out.data_mut().copy_from_slice(rhs);
-    // Explicitly zero empty rows in case numerical noise crept in.
-    for (u, &d) in row_degrees.iter().enumerate() {
-        if d == 0 {
-            out.vector_mut(u).fill(0.0);
-        }
-    }
     out
-}
-
-/// Convenience wrapper: one full fused update of a side through the
-/// partial-Hermitian path with a single (trivial) partition — used by tests
-/// to check that the blocked path agrees with [`solve_side`].
-pub fn solve_side_via_partials(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
-    let f = fixed.rank();
-    let (mut a, mut b) = partial_hermitians(r, fixed, f);
-    let degrees: Vec<usize> = (0..r.n_rows()).map(|u| r.nnz_row(u)).collect();
-    finalize_and_solve(&mut a, &mut b, &degrees, lambda, f)
 }
 
 #[cfg(test)]
@@ -204,6 +230,16 @@ mod tests {
     use super::*;
     use cumf_data::synth::SyntheticConfig;
     use cumf_sparse::{vertical_partition, Coo};
+
+    /// One full update of a side through the partial-Hermitian path with a
+    /// single (trivial) partition, to check that the blocked path agrees
+    /// with [`solve_side`].
+    fn solve_side_via_partials(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
+        let f = fixed.rank();
+        let (mut a, mut b) = partial_hermitians(r, fixed, f);
+        let degrees: Vec<usize> = (0..r.n_rows()).map(|u| r.nnz_row(u)).collect();
+        finalize_and_solve(&mut a, &mut b, &degrees, lambda, f)
+    }
 
     fn small_problem() -> (Csr, FactorMatrix) {
         let data = SyntheticConfig {
@@ -224,7 +260,7 @@ mod tests {
         let (r, theta) = small_problem();
         let x0 = FactorMatrix::random(r.n_rows() as usize, 8, 0.5, 3);
         let before = crate::loss::rmse_csr(&x0, &theta, &r);
-        let x1 = solve_side(&r, &theta, 0.05);
+        let x1 = solve_side(&r, &theta, 0.05, None);
         let after = crate::loss::rmse_csr(&x1, &theta, &r);
         assert!(
             after < before,
@@ -245,7 +281,7 @@ mod tests {
             }
         }
         let r = coo.to_csr();
-        let x = solve_side(&r, &theta, 1e-9);
+        let x = solve_side(&r, &theta, 1e-9, None);
         assert!((x.vector(0)[0] - 1.0).abs() < 1e-4);
         assert!((x.vector(1)[0] - 2.0).abs() < 1e-4);
     }
@@ -257,23 +293,24 @@ mod tests {
         coo.push(2, 1, 2.0).unwrap();
         let r = coo.to_csr();
         let theta = FactorMatrix::random(2, 4, 1.0, 5);
-        let x = solve_side(&r, &theta, 0.1);
+        let x = solve_side(&r, &theta, 0.1, None);
         assert!(x.vector(1).iter().all(|&v| v == 0.0));
         assert!(x.vector(0).iter().any(|&v| v != 0.0));
     }
 
     #[test]
     fn vectorized_assembly_matches_the_scalar_reference_exactly() {
-        // Rebuild every row's system with the scalar syr_full + axpy pair —
-        // the pre-vectorization assembly — and solve it: solve_side's fused
-        // 4-lane kernel must reproduce each factor vector bit-for-bit (zero
-        // tolerance), because per-element the assembly performs the same
-        // multiply-adds and reorders no reduction.
+        // Rebuild every row's system with the scalar syr_full + axpy pair
+        // and solve it: solve_side must reproduce each factor vector
+        // bit-for-bit (zero tolerance).  A faster kernel swapped into the
+        // assembly step (the 4-lane `syr_axpy`, a SYRK-style micro-kernel)
+        // must keep this by performing the same multiply-adds and
+        // reordering no reduction.
         use cumf_linalg::blas::{axpy, syr_full};
         let (r, theta) = small_problem();
         let f = theta.rank();
         let lambda = 0.05f32;
-        let got = solve_side(&r, &theta, lambda);
+        let got = solve_side(&r, &theta, lambda, None);
         for u in 0..r.n_rows() {
             let (cols, vals) = r.row(u);
             if cols.is_empty() {
@@ -295,12 +332,24 @@ mod tests {
     #[test]
     fn partial_path_matches_fused_path() {
         let (r, theta) = small_problem();
-        let fused = solve_side(&r, &theta, 0.05);
+        let fused = solve_side(&r, &theta, 0.05, None);
         let partial = solve_side_via_partials(&r, &theta, 0.05);
         assert!(
             fused.max_abs_diff(&partial) < 1e-4,
             "fused and partial paths should agree"
         );
+
+        // θ₀ = (1, 1), one rating 4.0, λ = 0: the Hermitian [[1, 1], [1, 1]]
+        // is singular, so both paths must give the zero vector — not the
+        // raw right-hand side (4, 4).
+        let theta = FactorMatrix::from_vec(1, 2, vec![1.0, 1.0]);
+        let mut coo = Coo::new(1, 1);
+        coo.push(0, 0, 4.0).unwrap();
+        let r = coo.to_csr();
+        let fused = solve_side(&r, &theta, 0.0, None);
+        let partial = solve_side_via_partials(&r, &theta, 0.0);
+        assert_eq!(fused.vector(0), &[0.0, 0.0]);
+        assert_eq!(partial.vector(0), &[0.0, 0.0]);
     }
 
     #[test]

@@ -97,12 +97,7 @@ pub trait IncrementalEngine: Engine {
     /// # Panics
     /// Panics if `ratings` does not span the item catalog.
     fn fold_in_users(&self, ratings: &Csr) -> FactorMatrix {
-        crate::foldin::fold_in_users_instrumented(
-            ratings,
-            self.theta(),
-            self.fold_in_lambda(),
-            self.metrics(),
-        )
+        crate::foldin::fold_in_users(ratings, self.theta(), self.fold_in_lambda(), self.metrics())
     }
 
     /// [`IncrementalEngine::fold_in_users`] against a segmented catalog:
@@ -115,7 +110,7 @@ pub trait IncrementalEngine: Engine {
     /// Panics if the segments do not tile `[0, ratings.n_cols())` or their
     /// rank differs from the engine's.
     fn fold_in_users_segmented(&self, ratings: &Csr, segments: &[SegmentView<'_>]) -> FactorMatrix {
-        crate::foldin::fold_in_users_segmented_instrumented(
+        crate::foldin::fold_in_users_segmented(
             ratings,
             segments,
             self.theta().rank(),

@@ -12,20 +12,17 @@
 //! point: at production sizes, moving whole factor matrices dominates cost,
 //! so an update that touches `u` users should move `O(u·f)` bytes.
 //!
-//! The solve itself is [`crate::als::kernels::solve_side`] — the same fused
+//! The solve itself is [`crate::als::kernels::solve_rows`] — the same fused
 //! per-row kernel every training engine uses, parallel over users via
 //! rayon — so a folded-in user gets *exactly* the factors one more
-//! update-`X` half-iteration would have given them.
+//! update-`X` half-iteration would have given them.  The two entry points
+//! differ only in how an item id resolves to its factor vector.
 
-use crate::als::kernels::solve_side_instrumented;
+use crate::als::kernels::{solve_rows, solve_side};
 use crate::instrument::TrainMetrics;
 use cumf_linalg::batch::SegmentView;
-use cumf_linalg::blas::{add_diagonal, axpy, syr_full};
-use cumf_linalg::cholesky::cholesky_solve;
 use cumf_linalg::FactorMatrix;
-use cumf_obs::ns_between;
 use cumf_sparse::{Coo, Csr};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Solves the ALS normal equations for a batch of users against frozen item
@@ -37,6 +34,10 @@ use std::time::Instant;
 /// * `theta` — the frozen item factors.
 /// * `lambda` — the same weighted-λ regularization used in training: each
 ///   row's ridge is `λ · n_u`.
+/// * `metrics` — when present, the whole batch's wall time lands in the
+///   [`TrainMetrics`] `fold_in` histogram and each non-empty row records its
+///   assembly/solve phases, exactly like an instrumented training
+///   half-iteration.
 ///
 /// Returns one factor row per input row (row `i` of the result belongs to
 /// row `i` of `ratings`).  Users with no ratings get a zero vector, exactly
@@ -44,15 +45,7 @@ use std::time::Instant;
 ///
 /// # Panics
 /// Panics if `ratings.n_cols() != theta.len()`.
-pub fn fold_in_users(ratings: &Csr, theta: &FactorMatrix, lambda: f32) -> FactorMatrix {
-    fold_in_users_instrumented(ratings, theta, lambda, None)
-}
-
-/// [`fold_in_users`] with optional batch-latency recording: the whole
-/// batch's wall time lands in the [`TrainMetrics`] `fold_in` histogram and
-/// each non-empty row records its assembly/solve phases, exactly like an
-/// instrumented training half-iteration.
-pub fn fold_in_users_instrumented(
+pub fn fold_in_users(
     ratings: &Csr,
     theta: &FactorMatrix,
     lambda: f32,
@@ -63,12 +56,7 @@ pub fn fold_in_users_instrumented(
         theta.len(),
         "fold-in ratings must span the item catalog"
     );
-    let started = metrics.map(|_| Instant::now());
-    let out = solve_side_instrumented(ratings, theta, lambda, metrics);
-    if let (Some(m), Some(t0)) = (metrics, started) {
-        m.record_fold_in(t0.elapsed());
-    }
-    out
+    timed_fold_in(metrics, || solve_side(ratings, theta, lambda, metrics))
 }
 
 /// [`fold_in_users`] against a **segmented** item catalog: assembles each
@@ -82,26 +70,17 @@ pub fn fold_in_users_instrumented(
 ///   `ItemStore::views()`.  Permuted segments must carry their `pos`
 ///   inverse remap.
 /// * `f` — the latent rank (views carry slabs, not ranks).
+/// * `metrics` — the same optional batch/phase recording as
+///   [`fold_in_users`].
 ///
 /// Per row, ratings are visited in the same CSR order as the contiguous
 /// path, so results are **bit-identical** to
-/// `fold_in_users(ratings, &store.to_matrix(), lambda)`.
+/// `fold_in_users(ratings, &store.to_matrix(), lambda, None)`.
 ///
 /// # Panics
 /// Panics if the segments do not tile the catalog or a slab disagrees with
 /// `f`.
 pub fn fold_in_users_segmented(
-    ratings: &Csr,
-    segments: &[SegmentView<'_>],
-    f: usize,
-    lambda: f32,
-) -> FactorMatrix {
-    fold_in_users_segmented_instrumented(ratings, segments, f, lambda, None)
-}
-
-/// [`fold_in_users_segmented`] with the same optional batch/phase recording
-/// as [`fold_in_users_instrumented`].
-pub fn fold_in_users_segmented_instrumented(
     ratings: &Csr,
     segments: &[SegmentView<'_>],
     f: usize,
@@ -123,45 +102,26 @@ pub fn fold_in_users_segmented_instrumented(
         ratings.n_cols() as usize,
         "fold-in ratings must span the item catalog"
     );
+    // Each rating's item id resolves to (segment, stored row) with two u32
+    // lookups — no catalog-order slab exists anywhere.
+    let lookup = |v: u32| {
+        let i = segments
+            .partition_point(|s| s.first_id <= v)
+            .saturating_sub(1);
+        segments[i].vector_of(v, f)
+    };
+    timed_fold_in(metrics, || solve_rows(ratings, f, lambda, lookup, metrics))
+}
 
+/// Runs one fold-in batch, recording its wall time into the `fold_in`
+/// histogram when `metrics` is present.
+fn timed_fold_in(
+    metrics: Option<&TrainMetrics>,
+    solve: impl FnOnce() -> FactorMatrix,
+) -> FactorMatrix {
     let started = metrics.map(|_| Instant::now());
-    let m = ratings.n_rows() as usize;
-    let mut out = FactorMatrix::zeros(m, f);
-    out.data_mut()
-        .par_chunks_mut(f)
-        .enumerate()
-        .for_each(|(u, x_u)| {
-            let (cols, vals) = ratings.row(u as u32);
-            if cols.is_empty() {
-                return;
-            }
-            let row_start = metrics.map(|_| Instant::now());
-            let mut a = vec![0.0f32; f * f];
-            let mut b = vec![0.0f32; f];
-            for (&v, &val) in cols.iter().zip(vals.iter()) {
-                // Rating item ids arrive in catalog order per row; each
-                // resolves to (segment, stored row) with two u32 lookups —
-                // no catalog-order slab exists anywhere.
-                let i = segments
-                    .partition_point(|s| s.first_id <= v)
-                    .saturating_sub(1);
-                let theta_v = segments[i].vector_of(v, f);
-                syr_full(&mut a, theta_v);
-                axpy(val, theta_v, &mut b);
-            }
-            let assembled = metrics.map(|_| Instant::now());
-            add_diagonal(&mut a, f, lambda * cols.len() as f32);
-            if cholesky_solve(&mut a, f, &mut b).is_ok() {
-                x_u.copy_from_slice(&b);
-            }
-            // Singular systems keep the zero initialization, exactly like
-            // the contiguous kernel.
-            if let (Some(m), Some(t0), Some(t1)) = (metrics, row_start, assembled) {
-                m.record_row(ns_between(t0, t1), ns_between(t1, Instant::now()));
-            }
-        });
+    let out = solve();
     if let (Some(m), Some(t0)) = (metrics, started) {
-        m.record_solve_side(t0.elapsed());
         m.record_fold_in(t0.elapsed());
     }
     out
@@ -221,7 +181,7 @@ mod tests {
         // fold_in_users solves the same system as update_x: feeding the
         // training matrix back in must reproduce solve_side's X exactly.
         let (r, mut engine) = trained();
-        let folded = fold_in_users(&r, engine.theta(), engine.config().lambda);
+        let folded = fold_in_users(&r, engine.theta(), engine.config().lambda, None);
         engine.update_x();
         assert_eq!(folded.max_abs_diff(engine.x()), 0.0);
     }
@@ -235,7 +195,7 @@ mod tests {
         let (items, vals) = r.row(3);
         let rows = vec![items.iter().copied().zip(vals.iter().copied()).collect()];
         let batch = ratings_rows(&rows, r.n_cols());
-        let folded = fold_in_users(&batch, engine.theta(), engine.config().lambda);
+        let folded = fold_in_users(&batch, engine.theta(), engine.config().lambda, None);
         assert_eq!(folded.len(), 1);
         let mse: f64 = items
             .iter()
@@ -254,7 +214,7 @@ mod tests {
         let (r, engine) = trained();
         let rows = vec![Vec::new(), vec![(0u32, 4.0f32)]];
         let batch = ratings_rows(&rows, r.n_cols());
-        let folded = fold_in_users(&batch, engine.theta(), 0.05);
+        let folded = fold_in_users(&batch, engine.theta(), 0.05, None);
         assert!(folded.vector(0).iter().all(|&v| v == 0.0));
         assert!(folded.vector(1).iter().any(|&v| v != 0.0));
     }
@@ -264,7 +224,7 @@ mod tests {
     fn catalog_width_mismatch_panics() {
         let (_, engine) = trained();
         let batch = ratings_rows(&[vec![(0, 1.0)]], 10);
-        fold_in_users(&batch, engine.theta(), 0.05);
+        fold_in_users(&batch, engine.theta(), 0.05, None);
     }
 
     /// Splits `theta` at the given cuts into segments, permuting each
@@ -344,11 +304,11 @@ mod tests {
             .collect();
         rows.push(Vec::new());
         let batch = ratings_rows(&rows, r.n_cols());
-        let expect = fold_in_users(&batch, engine.theta(), 0.05);
+        let expect = fold_in_users(&batch, engine.theta(), 0.05, None);
         for cuts in [vec![0usize, n], vec![0, 17, n], vec![0, 1, 2, 40, n]] {
             let seg = SegmentedTheta::build(engine.theta(), &cuts);
             let views = seg.views();
-            let got = fold_in_users_segmented(&batch, &views, f, 0.05);
+            let got = fold_in_users_segmented(&batch, &views, f, 0.05, None);
             assert_eq!(
                 got.max_abs_diff(&expect),
                 0.0,
@@ -364,13 +324,7 @@ mod tests {
         let views = seg.views();
         let batch = ratings_rows(&[vec![(0, 4.0), (3, 2.0)]], r.n_cols());
         let metrics = TrainMetrics::new();
-        fold_in_users_segmented_instrumented(
-            &batch,
-            &views,
-            engine.theta().rank(),
-            0.05,
-            Some(&metrics),
-        );
+        fold_in_users_segmented(&batch, &views, engine.theta().rank(), 0.05, Some(&metrics));
         let report = metrics.report();
         assert_eq!(report.fold_in.count(), 1);
         assert_eq!(report.solve_side.count(), 1);
@@ -385,7 +339,7 @@ mod tests {
         let mut views = seg.views();
         views.remove(0);
         let batch = ratings_rows(&[vec![(0, 1.0)]], r.n_cols());
-        fold_in_users_segmented(&batch, &views, engine.theta().rank(), 0.05);
+        fold_in_users_segmented(&batch, &views, engine.theta().rank(), 0.05, None);
     }
 
     #[test]

@@ -5,15 +5,14 @@
 //! (equation (2)): assembling the Hermitian `A = Σ θ_v θ_vᵀ` (the
 //! `get_hermitian` kernel) and solving the regularized system (the
 //! `batch_solve` kernel).  [`TrainMetrics`] times both **per row** inside
-//! [`crate::als::kernels::solve_side_instrumented`], plus whole
-//! `solve_side` calls and incremental fold-in batches
-//! ([`crate::foldin::fold_in_users_instrumented`]) — giving the host-side
-//! analogue of the kernel split the simulator prices.
+//! [`crate::als::kernels::solve_rows`] — the one row loop behind training
+//! half-iterations and incremental fold-in — plus whole `solve_side` calls
+//! and fold-in batches ([`crate::foldin::fold_in_users`]), giving the
+//! host-side analogue of the kernel split the simulator prices.
 //!
 //! Recording is wait-free ([`cumf_obs::Histogram`] relaxed atomics), so the
-//! rayon row loop stays embarrassingly parallel; the uninstrumented entry
-//! points ([`crate::als::kernels::solve_side`]) pass `None` and pay no
-//! timing overhead at all.
+//! rayon row loop stays embarrassingly parallel; callers that pass `None`
+//! for the metrics read no clock at all.
 
 use cumf_obs::{Exporter, Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};

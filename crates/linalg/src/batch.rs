@@ -1,68 +1,8 @@
-//! Batched Hermitian solves — the CPU stand-in for cuBLAS's batched
-//! POTRF/POTRS used by the paper's `batch_solve` phase.
-//!
-//! Each of the `m_b` systems in a batch is independent, which is exactly the
-//! property the paper exploits to fill the GPU with thread blocks; here the
-//! same independence is exploited with rayon's work-stealing threads.
+//! Batched retrieval-time scoring: user micro-batches against item blocks
+//! ([`batch_score_block`]) and against the segment views the serving tier
+//! stores its catalog in ([`SegmentView`], [`batch_score_segment`]).
 
-use crate::cholesky::{cholesky_solve, CholeskyError};
 use crate::quant::EncodedSlab;
-use rayon::prelude::*;
-
-/// Result of a batched solve: per-system error positions (empty when all
-/// systems succeeded).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchSolveReport {
-    /// Indices of systems whose Hermitian matrix was not positive definite.
-    pub failed: Vec<usize>,
-    /// Number of systems solved.
-    pub solved: usize,
-}
-
-impl BatchSolveReport {
-    /// True when every system in the batch solved successfully.
-    pub fn all_ok(&self) -> bool {
-        self.failed.is_empty()
-    }
-}
-
-/// Solves `batch` independent `f × f` SPD systems in parallel.
-///
-/// * `hermitians` — concatenated row-major `A_u` matrices, `batch · f²` long;
-///   overwritten with their Cholesky factors.
-/// * `rhs` — concatenated right-hand sides `B_u`, `batch · f` long;
-///   overwritten with the solutions `x_u`.
-///
-/// Systems that fail to factor (non-SPD, which for ALS can only happen with
-/// `λ = 0` and an empty row) leave their right-hand side untouched and are
-/// reported in the returned [`BatchSolveReport`].
-pub fn batch_solve(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
-    assert!(f > 0, "latent dimension must be positive");
-    assert_eq!(
-        hermitians.len() % (f * f),
-        0,
-        "hermitian buffer not a multiple of f*f"
-    );
-    assert_eq!(rhs.len() % f, 0, "rhs buffer not a multiple of f");
-    let batch = hermitians.len() / (f * f);
-    assert_eq!(rhs.len() / f, batch, "hermitian and rhs batch sizes differ");
-
-    let results: Vec<Result<(), CholeskyError>> = hermitians
-        .par_chunks_mut(f * f)
-        .zip(rhs.par_chunks_mut(f))
-        .map(|(a, b)| cholesky_solve(a, f, b))
-        .collect();
-
-    let failed: Vec<usize> = results
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.is_err().then_some(i))
-        .collect();
-    BatchSolveReport {
-        solved: batch - failed.len(),
-        failed,
-    }
-}
 
 /// Scores a micro-batch of user vectors against a block of item vectors —
 /// the retrieval-time counterpart of the training-time batched GEMM: the
@@ -260,104 +200,10 @@ pub fn score_dot(x: &[f32], y: &[f32]) -> f32 {
     s
 }
 
-/// Sequential reference implementation of [`batch_solve`], used by tests to
-/// check that parallel execution does not change results.
-pub fn batch_solve_seq(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
-    let batch = hermitians.len() / (f * f);
-    let mut failed = Vec::new();
-    for i in 0..batch {
-        let a = &mut hermitians[i * f * f..(i + 1) * f * f];
-        let b = &mut rhs[i * f..(i + 1) * f];
-        if cholesky_solve(a, f, b).is_err() {
-            failed.push(i);
-        }
-    }
-    BatchSolveReport {
-        solved: batch - failed.len(),
-        failed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas::{add_diagonal, syr_full};
-    use crate::cholesky::residual_norm;
     use crate::FactorMatrix;
-
-    use rand::prelude::*;
-
-    fn random_batch(batch: usize, f: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut hermitians = vec![0.0f32; batch * f * f];
-        let mut rhs = vec![0.0f32; batch * f];
-        for i in 0..batch {
-            let a = &mut hermitians[i * f * f..(i + 1) * f * f];
-            for _ in 0..(2 * f) {
-                let x: Vec<f32> = (0..f).map(|_| rng.random::<f32>() - 0.5).collect();
-                syr_full(a, &x);
-            }
-            add_diagonal(a, f, 0.2);
-            for b in rhs[i * f..(i + 1) * f].iter_mut() {
-                *b = rng.random::<f32>() - 0.5;
-            }
-        }
-        (hermitians, rhs)
-    }
-
-    #[test]
-    fn solves_a_batch_with_small_residuals() {
-        let (orig_a, orig_b) = random_batch(32, 12, 3);
-        let mut a = orig_a.clone();
-        let mut b = orig_b.clone();
-        let report = batch_solve(&mut a, &mut b, 12);
-        assert!(report.all_ok());
-        assert_eq!(report.solved, 32);
-        for i in 0..32 {
-            let res = residual_norm(
-                &orig_a[i * 144..(i + 1) * 144],
-                12,
-                &b[i * 12..(i + 1) * 12],
-                &orig_b[i * 12..(i + 1) * 12],
-            );
-            assert!(res < 1e-3, "system {i} residual {res}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (a0, b0) = random_batch(64, 8, 11);
-        let (mut a1, mut b1) = (a0.clone(), b0.clone());
-        let (mut a2, mut b2) = (a0, b0);
-        let r1 = batch_solve(&mut a1, &mut b1, 8);
-        let r2 = batch_solve_seq(&mut a2, &mut b2, 8);
-        assert_eq!(r1, r2);
-        assert_eq!(b1, b2);
-    }
-
-    #[test]
-    fn reports_failed_systems_and_leaves_rhs() {
-        let f = 4;
-        // Two systems: first is identity (fine), second is all zeros (fails).
-        let mut a = vec![0.0f32; 2 * f * f];
-        add_diagonal(&mut a[..f * f], f, 1.0);
-        let mut b = vec![1.0f32; 2 * f];
-        let report = batch_solve(&mut a, &mut b, f);
-        assert_eq!(report.failed, vec![1]);
-        assert_eq!(report.solved, 1);
-        assert!(!report.all_ok());
-        // Failed system's rhs is untouched (still all ones).
-        assert!(b[f..].iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn empty_batch_is_ok() {
-        let mut a: Vec<f32> = vec![];
-        let mut b: Vec<f32> = vec![];
-        let report = batch_solve(&mut a, &mut b, 5);
-        assert!(report.all_ok());
-        assert_eq!(report.solved, 0);
-    }
 
     #[test]
     fn score_block_matches_per_pair_dots() {
@@ -508,13 +354,5 @@ mod tests {
     fn score_block_rejects_bad_output_len() {
         let mut out = vec![0.0f32; 3];
         batch_score_block(&[1.0, 2.0], 1, &[1.0, 2.0], 1, 2, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn mismatched_buffers_panic() {
-        let mut a = vec![0.0f32; 10];
-        let mut b = vec![0.0f32; 3];
-        batch_solve(&mut a, &mut b, 3);
     }
 }

@@ -68,6 +68,10 @@ pub fn syr_full(a: &mut [f32], x: &[f32]) {
 /// loop four wide reorders no floating-point reduction (unlike a dot
 /// product, there is nothing to reassociate).  The zero-`x[i]` row skip is
 /// preserved for the same reason.
+///
+/// On x86-64 at `f` = 32–64 this measures *slower* than the scalar pair,
+/// which the compiler auto-vectorizes better, so `cumf-core`'s row solver
+/// assembles with [`syr_full`] + [`axpy`] instead.
 #[inline]
 pub fn syr_axpy(a: &mut [f32], b: &mut [f32], x: &[f32], val: f32) {
     let f = x.len();

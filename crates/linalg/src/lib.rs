@@ -8,7 +8,8 @@
 //! ```
 //!
 //! with `f` in the tens-to-hundreds.  The paper offloads the batched solve to
-//! cuBLAS (`batch_solve`); here we provide the equivalent building blocks:
+//! cuBLAS (`batch_solve`); here we provide the per-system building blocks,
+//! which `cumf-core`'s one ALS row solver runs in parallel over rows:
 //!
 //! * [`dense::DenseMatrix`] and [`dense::FactorMatrix`] — row-major dense
 //!   storage for `X`, `Θ` and the per-row Hermitians.
@@ -16,9 +17,8 @@
 //!   `get_hermitian` phase is made of.
 //! * [`cholesky`] — an in-place Cholesky / forward-backward solver for the
 //!   SPD `f × f` systems.
-//! * [`batch`] — a rayon-parallel batched solver standing in for the
-//!   cuBLAS batched routines, plus the blocked retrieval-time scoring
-//!   kernel ([`batch::batch_score_block`]).
+//! * [`batch`] — the blocked retrieval-time scoring kernels
+//!   ([`batch::batch_score_block`], [`batch::batch_score_segment`]).
 //! * [`topk`] — bounded-heap top-k selection and [`topk::scan_top_k`], the
 //!   one blocked top-k scan that `recommend()` and every serving path call.
 
@@ -30,7 +30,7 @@ pub mod dense;
 pub mod quant;
 pub mod topk;
 
-pub use batch::{batch_score_block, batch_score_segment, batch_solve, score_dot, SegmentView};
+pub use batch::{batch_score_block, batch_score_segment, score_dot, SegmentView};
 pub use cholesky::{cholesky_factor, cholesky_solve, CholeskyError};
 pub use dense::{DenseMatrix, FactorMatrix};
 pub use quant::{

@@ -3,9 +3,9 @@
 use cumf_linalg::blas::{add_diagonal, dot, gemv, symmetrize_upper, syr_full, syr_upper};
 use cumf_linalg::cholesky::{cholesky_solve, residual_norm};
 use cumf_linalg::{
-    batch_solve, block_max_norms, f16_bits_to_f32, f32_to_f16_bits, item_norms, scan_top_k,
-    ApproxPolicy, DenseMatrix, EncodedSlab, FactorMatrix, Precision, PruneStats, ScoreKind,
-    SegmentView, TileQuery, F16_REL_ERR, F16_SUBNORMAL_ABS,
+    block_max_norms, f16_bits_to_f32, f32_to_f16_bits, item_norms, scan_top_k, ApproxPolicy,
+    DenseMatrix, EncodedSlab, FactorMatrix, Precision, PruneStats, ScoreKind, SegmentView,
+    TileQuery, F16_REL_ERR, F16_SUBNORMAL_ABS,
 };
 use proptest::prelude::*;
 
@@ -200,39 +200,6 @@ proptest! {
         let expect = am.matmul(&xm);
         for (i, &yi) in y.iter().enumerate() {
             prop_assert!((yi - expect.get(i, 0)).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn batch_solve_matches_individual_solves(
-        batch in 1usize..8,
-        f in 2usize..10,
-        seed in 0u64..500,
-    ) {
-        // Build `batch` SPD systems deterministically from the seed.
-        let gen = FactorMatrix::random(batch * 3, f, 1.0, seed);
-        let rhs_gen = FactorMatrix::random(batch, f, 1.0, seed + 7);
-        let mut hermitians = vec![0.0f32; batch * f * f];
-        let mut rhs = vec![0.0f32; batch * f];
-        for i in 0..batch {
-            let a = &mut hermitians[i * f * f..(i + 1) * f * f];
-            for t in 0..3 {
-                syr_full(a, gen.vector(i * 3 + t));
-            }
-            add_diagonal(a, f, 0.3);
-            rhs[i * f..(i + 1) * f].copy_from_slice(rhs_gen.vector(i));
-        }
-        let orig_a = hermitians.clone();
-        let orig_b = rhs.clone();
-        let report = batch_solve(&mut hermitians, &mut rhs, f);
-        prop_assert!(report.all_ok());
-        for i in 0..batch {
-            let mut a = orig_a[i * f * f..(i + 1) * f * f].to_vec();
-            let mut x = orig_b[i * f..(i + 1) * f].to_vec();
-            cholesky_solve(&mut a, f, &mut x).unwrap();
-            for (got, want) in rhs[i * f..(i + 1) * f].iter().zip(x.iter()) {
-                prop_assert!((got - want).abs() < 1e-5);
-            }
         }
     }
 

@@ -105,12 +105,6 @@ pub struct ServeConfig {
     /// (see [`cumf_linalg::scan_top_k`]); `F32` (the default) is
     /// bit-identical to the pre-quantization service.
     pub precision: Precision,
-    /// Per-segment precision overrides `(segment index, precision)` applied
-    /// on top of [`ServeConfig::precision`] when the catalog is re-encoded,
-    /// so mixed catalogs work: a norm-descending store keeps its hot head
-    /// segment (index 0) at `F32` while cold tail segments quantize to
-    /// `I8`.  Indices past the snapshot's segment list are ignored.
-    pub precision_overrides: Vec<(usize, Precision)>,
     /// Trace one request in `trace_sample` (0 disables tracing, 1 traces
     /// everything).  Only sampled requests allocate a per-request
     /// [`Trace`]; everyone else pays one relaxed counter increment.
@@ -135,7 +129,6 @@ impl Default for ServeConfig {
             max_item_segments: 8,
             approx: None,
             precision: Precision::F32,
-            precision_overrides: Vec::new(),
             trace_sample: 64,
             trace_capacity: 1024,
         }
@@ -378,36 +371,21 @@ pub struct TopKService {
     /// Segment bound for post-delta auto-compaction (see
     /// [`ServeConfig::max_item_segments`]).
     max_item_segments: usize,
-    /// Serving precision (and overrides) re-applied to every published
-    /// full snapshot, so a training loop handing over exact f32 factors
-    /// keeps serving quantized.
+    /// Serving precision re-applied to every published full snapshot, so
+    /// a training loop handing over exact f32 factors keeps serving
+    /// quantized.
     precision: Precision,
-    precision_overrides: Vec<(usize, Precision)>,
 }
 
-/// Re-encodes `snapshot`'s catalog to the configured serving precision:
-/// the store-wide default first (which future appends inherit), then any
-/// per-segment overrides (hot head at f32, cold tails at i8).  Segments
-/// already at their target are `Arc`-shared, so re-publishing an
-/// already-encoded snapshot copies nothing.
-fn encode_to_serving_precision(
-    snapshot: FactorSnapshot,
-    precision: Precision,
-    overrides: &[(usize, Precision)],
-) -> FactorSnapshot {
-    if overrides.is_empty() && snapshot.items().precision() == precision {
+/// Re-encodes `snapshot`'s catalog to the configured serving precision
+/// (which future appends inherit).  Segments already at that precision are
+/// `Arc`-shared, so re-publishing an already-encoded snapshot copies
+/// nothing.
+fn encode_to_serving_precision(snapshot: FactorSnapshot, precision: Precision) -> FactorSnapshot {
+    if snapshot.items().precision() == precision {
         return snapshot;
     }
-    let mut out = snapshot.reencoded(precision);
-    if !overrides.is_empty() {
-        out = out.reencoded_with(|i, seg| {
-            overrides
-                .iter()
-                .find(|(j, _)| *j == i)
-                .map_or_else(|| seg.precision(), |&(_, p)| p)
-        });
-    }
-    out
+    snapshot.reencoded(precision)
 }
 
 impl TopKService {
@@ -427,8 +405,7 @@ impl TopKService {
             policy.validate();
         }
         let n_workers = config.workers.max(1);
-        let initial =
-            encode_to_serving_precision(initial, config.precision, &config.precision_overrides);
+        let initial = encode_to_serving_precision(initial, config.precision);
         let store = Arc::new(SnapshotStore::new(initial));
         let metrics = Arc::new(ServeMetrics::new());
         let state = Arc::new(PoolState::default());
@@ -446,7 +423,6 @@ impl TopKService {
         let (tx, rx) = bounded::<Msg>(config.queue_depth.max(1));
         let max_item_segments = config.max_item_segments;
         let precision = config.precision;
-        let precision_overrides = config.precision_overrides.clone();
         let tracer = Arc::new(Tracer::new(config.trace_sample, config.trace_capacity));
         let workers = (0..n_workers)
             .map(|_| {
@@ -476,7 +452,6 @@ impl TopKService {
             workers,
             max_item_segments,
             precision,
-            precision_overrides,
         }
     }
 
@@ -766,12 +741,11 @@ impl TopKService {
     /// In-flight batches finish on the previous snapshot; cached results of
     /// older generations stop being served immediately (lazy eviction).
     /// The catalog is re-encoded to the serving precision
-    /// ([`ServeConfig::precision`] plus overrides) on the way in, so a
-    /// training loop can hand over exact f32 factors.
+    /// ([`ServeConfig::precision`]) on the way in, so a training loop can
+    /// hand over exact f32 factors.
     pub fn publish(&self, snapshot: FactorSnapshot) -> u64 {
         let started = Instant::now();
-        let snapshot =
-            encode_to_serving_precision(snapshot, self.precision, &self.precision_overrides);
+        let snapshot = encode_to_serving_precision(snapshot, self.precision);
         let generation = self.store.publish(snapshot);
         self.metrics.record_swap();
         self.metrics.record_publish_latency(started.elapsed());
@@ -1517,37 +1491,6 @@ mod tests {
         );
         let client = service.client();
         assert_eq!(client.recommend(3, 5, &[]).unwrap().len(), 5);
-    }
-
-    #[test]
-    fn per_segment_overrides_keep_the_hot_head_exact() {
-        // Store default I8, head segment pinned to F32: the mixed catalog
-        // serves, and an item-appending delta's tail encodes at the store
-        // default (cold tails quantize, the hot head stays exact).
-        let service = TopKService::start(
-            snapshot(25),
-            ServeConfig {
-                precision: Precision::I8,
-                precision_overrides: vec![(0, Precision::F32)],
-                max_delay: Duration::from_millis(1),
-                ..Default::default()
-            },
-        );
-        let items = service.snapshot();
-        assert_eq!(items.items().precision(), Precision::I8);
-        assert_eq!(items.items().segments()[0].precision(), Precision::F32);
-        let mut delta = items.delta();
-        delta.append_items(&FactorMatrix::random(30, 8, 1.0, 77));
-        service.publish_delta(&delta).unwrap();
-        let after = service.snapshot();
-        assert_eq!(after.items().segments()[0].precision(), Precision::F32);
-        assert_eq!(
-            after.items().segments().last().unwrap().precision(),
-            Precision::I8,
-            "appended tail must encode at the store default"
-        );
-        let client = service.client();
-        assert_eq!(client.recommend(2, 8, &[]).unwrap().len(), 8);
     }
 
     /// The panic budget is pool-wide: restarts on different workers draw

@@ -513,7 +513,8 @@ mod tests {
         let cols: Vec<u32> = merged.keys().copied().collect();
         let vals: Vec<f32> = merged.values().copied().collect();
         let one = Csr::from_raw(1, r.n_cols(), vec![0, cols.len()], cols, vals).unwrap();
-        let expect = cumf_core::foldin::fold_in_users(&one, &after.item_factors_matrix(), 0.05);
+        let expect =
+            cumf_core::foldin::fold_in_users(&one, &after.item_factors_matrix(), 0.05, None);
         assert_eq!(after.user_vector(3).unwrap(), expect.vector(0));
     }
 

@@ -483,21 +483,6 @@ impl FactorSnapshot {
         }
     }
 
-    /// [`FactorSnapshot::reencoded`] with a per-segment precision choice —
-    /// the hot-head-f32 / cold-tail-i8 split: `choose` sees each segment's
-    /// index and contents and returns the precision it should scan at.
-    /// Segments whose choice matches their current precision are shared.
-    pub fn reencoded_with(
-        &self,
-        choose: impl FnMut(usize, &crate::itemstore::ItemSegment) -> cumf_linalg::Precision,
-    ) -> FactorSnapshot {
-        Self {
-            generation: self.generation,
-            x: self.x.clone(),
-            items: self.items.reencode_with(choose),
-        }
-    }
-
     /// A snapshot whose item segments are merged back into one base segment
     /// ([`ItemStore::compact`]); user blocks are shared with `self`, and
     /// retrieval is bit-identical.  Publish the result through
