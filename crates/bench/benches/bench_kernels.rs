@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cumf_core::als::kernels::{accumulate_partials, partial_hermitians, solve_side};
 use cumf_data::synth::SyntheticConfig;
-use cumf_linalg::blas::{axpy, syr_axpy, syr_full};
+use cumf_linalg::blas::{axpy, syr_full};
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::Csr;
 use std::hint::black_box;
@@ -39,11 +39,10 @@ fn bench_get_hermitian(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar `syr_full` + `axpy` against the fused 4-lane `syr_axpy` on the
-/// identical assembly stream — the per-rating body of `get_hermitian`,
-/// isolated from the Cholesky solve.  The two produce bit-identical
-/// Hermitians (pinned in cumf-core); this rung is what keeps the ALS row
-/// solver on the faster of the two.
+/// The scalar `syr_full` + `axpy` assembly stream — the per-rating body of
+/// `get_hermitian`, isolated from the Cholesky solve.  It is the baseline a
+/// faster assembly kernel (a SYRK-style micro-kernel) must beat before the
+/// ALS row solver adopts it.
 fn bench_hermitian_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("hermitian_assembly");
     let f = 32usize;
@@ -59,16 +58,6 @@ fn bench_hermitian_assembly(c: &mut Criterion) {
                 let x = vectors.vector(i);
                 syr_full(&mut a, x);
                 axpy(val, x, &mut rhs);
-            }
-            black_box((a, rhs))
-        });
-    });
-    group.bench_function("fused_syr_axpy_f32", |b| {
-        b.iter(|| {
-            let mut a = vec![0.0f32; f * f];
-            let mut rhs = vec![0.0f32; f];
-            for (i, &val) in vals.iter().enumerate() {
-                syr_axpy(&mut a, &mut rhs, vectors.vector(i), val);
             }
             black_box((a, rhs))
         });

@@ -38,9 +38,8 @@ fn assemble_row<'a>(
     fixed: impl Fn(u32) -> &'a [f32],
 ) {
     for (&v, &val) in cols.iter().zip(vals.iter()) {
-        // The scalar pair auto-vectorizes better than the hand-unrolled
-        // `syr_axpy` on x86-64 (and is bit-identical to it by that
-        // function's contract).
+        // The scalar pair auto-vectorizes well on x86-64; it measured
+        // faster than a hand-unrolled four-lane fused kernel.
         let theta_v = fixed(v);
         syr_full(a, theta_v);
         axpy(val, theta_v, b);
@@ -110,7 +109,7 @@ where
             }
         });
     if let (Some(m), Some(t0)) = (metrics, call_start) {
-        m.record_solve_side(t0.elapsed());
+        m.solve_side.record(t0.elapsed());
     }
     out
 }
@@ -303,9 +302,8 @@ mod tests {
         // Rebuild every row's system with the scalar syr_full + axpy pair
         // and solve it: solve_side must reproduce each factor vector
         // bit-for-bit (zero tolerance).  A faster kernel swapped into the
-        // assembly step (the 4-lane `syr_axpy`, a SYRK-style micro-kernel)
-        // must keep this by performing the same multiply-adds and
-        // reordering no reduction.
+        // assembly step (a SYRK-style micro-kernel) must keep this by
+        // performing the same multiply-adds and reordering no reduction.
         use cumf_linalg::blas::{axpy, syr_full};
         let (r, theta) = small_problem();
         let f = theta.rank();

@@ -122,7 +122,7 @@ fn timed_fold_in(
     let started = metrics.map(|_| Instant::now());
     let out = solve();
     if let (Some(m), Some(t0)) = (metrics, started) {
-        m.record_fold_in(t0.elapsed());
+        m.fold_in.record(t0.elapsed());
     }
     out
 }

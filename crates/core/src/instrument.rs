@@ -10,159 +10,61 @@
 //! and fold-in batches ([`crate::foldin::fold_in_users`]), giving the
 //! host-side analogue of the kernel split the simulator prices.
 //!
-//! Recording is wait-free ([`cumf_obs::Histogram`] relaxed atomics), so the
-//! rayon row loop stays embarrassingly parallel; callers that pass `None`
-//! for the metrics read no clock at all.
+//! The metrics are declared once with [`cumf_obs::metric_set!`], which
+//! derives the report, its window diff, the `train_*` export and the
+//! percentile table.  Recording is wait-free ([`cumf_obs::Histogram`]
+//! relaxed atomics), so the rayon row loop stays embarrassingly parallel;
+//! callers that pass `None` for the metrics read no clock at all.
 
-use cumf_obs::{Exporter, Histogram, HistogramSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Latency histograms of the training hot path; shared by every engine a
-/// [`crate::trainer::MatrixFactorizer`] builds.
-///
-/// All recording methods take `&self` and are wait-free, so one instance
-/// can be shared across the rayon workers of a `solve_side` call.
-#[derive(Debug, Default)]
-pub struct TrainMetrics {
-    /// Per-row Hermitian assembly (the `syr_full`/`axpy` loop over the
-    /// row's ratings — `get_hermitian` in the paper).
-    assembly: Histogram,
-    /// Per-row ridge + Cholesky solve (`batch_solve` in the paper).
-    solve: Histogram,
-    /// Whole `solve_side` calls (one half-iteration each).
-    solve_side: Histogram,
-    /// Incremental fold-in batches (the serving-facing training path).
-    fold_in: Histogram,
-    /// Non-empty rows solved across all instrumented calls.
-    rows_solved: AtomicU64,
+cumf_obs::metric_set! {
+    /// Latency histograms of the training hot path; shared by every engine
+    /// a [`crate::trainer::MatrixFactorizer`] builds.
+    ///
+    /// Every cell records through `&self`, wait-free, so one instance can
+    /// be shared across the rayon workers of a `solve_side` call.
+    pub struct TrainMetrics {}
+    /// Immutable snapshot of [`TrainMetrics`].
+    pub struct TrainMetricsReport;
+    metrics {
+        /// Non-empty rows solved across all instrumented calls.
+        rows_solved: counter("train_rows_solved", "non-empty rows solved across instrumented calls"),
+        /// Per-row Hermitian assembly (the `syr_full`/`axpy` loop over the
+        /// row's ratings — `get_hermitian` in the paper).
+        assembly: histogram("train_assembly", "per-row Hermitian assembly latency"),
+        /// Per-row ridge + Cholesky solve (`batch_solve` in the paper).
+        solve: histogram("train_solve", "per-row ridge + Cholesky solve latency"),
+        /// Whole `solve_side` calls (one half-iteration each).
+        solve_side: histogram("train_solve_side", "whole solve_side call latency"),
+        /// Incremental fold-in batches (the serving-facing training path).
+        fold_in: histogram("train_fold_in", "incremental fold-in batch latency"),
+    }
 }
 
 impl TrainMetrics {
-    /// A fresh, all-zero metrics sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one solved row: its Hermitian-assembly and solve phases.
     pub fn record_row(&self, assembly_ns: u64, solve_ns: u64) {
         self.assembly.record_ns(assembly_ns);
         self.solve.record_ns(solve_ns);
-        self.rows_solved.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic progress counter
-    }
-
-    /// Records one whole `solve_side` call.
-    pub fn record_solve_side(&self, elapsed: Duration) {
-        self.solve_side.record(elapsed);
-    }
-
-    /// Records one fold-in batch.
-    pub fn record_fold_in(&self, elapsed: Duration) {
-        self.fold_in.record(elapsed);
+        self.rows_solved.inc();
     }
 
     /// Non-empty rows solved so far.
     pub fn rows_solved(&self) -> u64 {
-        self.rows_solved.load(Ordering::Relaxed) // relaxed-ok: monotonic progress counter read
+        self.rows_solved.get()
     }
-
-    /// A point-in-time snapshot of every histogram and counter.
-    pub fn report(&self) -> TrainMetricsReport {
-        TrainMetricsReport {
-            rows_solved: self.rows_solved(),
-            assembly: self.assembly.snapshot(),
-            solve: self.solve.snapshot(),
-            solve_side: self.solve_side.snapshot(),
-            fold_in: self.fold_in.snapshot(),
-        }
-    }
-}
-
-/// Immutable snapshot of [`TrainMetrics`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainMetricsReport {
-    /// Non-empty rows solved.
-    pub rows_solved: u64,
-    /// Per-row Hermitian assembly latency.
-    pub assembly: HistogramSnapshot,
-    /// Per-row solve latency.
-    pub solve: HistogramSnapshot,
-    /// Whole `solve_side` call latency.
-    pub solve_side: HistogramSnapshot,
-    /// Fold-in batch latency.
-    pub fold_in: HistogramSnapshot,
-}
-
-impl TrainMetricsReport {
-    /// The machine-readable view: `train_*` metrics for the
-    /// Prometheus/JSON exporter.
-    pub fn exporter(&self) -> Exporter {
-        let mut e = Exporter::new();
-        e.counter(
-            "train_rows_solved",
-            "non-empty rows solved across instrumented calls",
-            self.rows_solved,
-        )
-        .histogram(
-            "train_assembly",
-            "per-row Hermitian assembly latency",
-            self.assembly.clone(),
-        )
-        .histogram(
-            "train_solve",
-            "per-row ridge + Cholesky solve latency",
-            self.solve.clone(),
-        )
-        .histogram(
-            "train_solve_side",
-            "whole solve_side call latency",
-            self.solve_side.clone(),
-        )
-        .histogram(
-            "train_fold_in",
-            "incremental fold-in batch latency",
-            self.fold_in.clone(),
-        );
-        e
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    format!("{:?}", Duration::from_nanos(ns))
 }
 
 impl std::fmt::Display for TrainMetricsReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "rows solved: {}", self.rows_solved)?;
-        writeln!(
-            f,
-            "  {:<12} {:>10} {:>10} {:>10} {:>10} {:>9}",
-            "phase", "p50", "p90", "p99", "max", "count"
-        )?;
-        for (name, h) in [
-            ("assembly", &self.assembly),
-            ("solve", &self.solve),
-            ("solve_side", &self.solve_side),
-            ("fold_in", &self.fold_in),
-        ] {
-            writeln!(
-                f,
-                "  {:<12} {:>10} {:>10} {:>10} {:>10} {:>9}",
-                name,
-                fmt_ns(h.quantile(0.5)),
-                fmt_ns(h.quantile(0.9)),
-                fmt_ns(h.quantile(0.99)),
-                fmt_ns(h.max_ns()),
-                h.count()
-            )?;
-        }
-        Ok(())
+        self.write_table(f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn report_reflects_recorded_rows_and_calls() {
@@ -170,8 +72,8 @@ mod tests {
         for i in 1..=100u64 {
             m.record_row(i * 10, i * 5);
         }
-        m.record_solve_side(Duration::from_micros(300));
-        m.record_fold_in(Duration::from_micros(40));
+        m.solve_side.record(Duration::from_micros(300));
+        m.fold_in.record(Duration::from_micros(40));
 
         let r = m.report();
         assert_eq!(r.rows_solved, 100);
@@ -190,7 +92,7 @@ mod tests {
     fn exporter_emits_the_train_keys() {
         let m = TrainMetrics::new();
         m.record_row(1_000, 2_000);
-        m.record_solve_side(Duration::from_micros(10));
+        m.solve_side.record(Duration::from_micros(10));
         let json = m.report().exporter().to_json();
         for key in [
             "\"train_rows_solved\":1",
@@ -230,5 +132,88 @@ mod tests {
         });
         assert_eq!(m.rows_solved(), 4_000);
         assert_eq!(m.report().assembly.count(), 4_000);
+    }
+
+    /// Every metric the trainer exporter publishes: `(name, Prometheus
+    /// TYPE, help)`.  A rename, retype or new help text is a contract
+    /// break; an added metric must be listed here.
+    const TRAIN_EXPORT_CONTRACT: &[(&str, &str, &str)] = &[
+        (
+            "train_rows_solved",
+            "counter",
+            "non-empty rows solved across instrumented calls",
+        ),
+        (
+            "train_assembly",
+            "summary",
+            "per-row Hermitian assembly latency",
+        ),
+        (
+            "train_solve",
+            "summary",
+            "per-row ridge + Cholesky solve latency",
+        ),
+        (
+            "train_solve_side",
+            "summary",
+            "whole solve_side call latency",
+        ),
+        (
+            "train_fold_in",
+            "summary",
+            "incremental fold-in batch latency",
+        ),
+    ];
+
+    /// Sorted JSON keys and sorted `# HELP`/`# TYPE` lines of an export.
+    fn export_contract(e: &cumf_obs::Exporter) -> (Vec<String>, Vec<String>) {
+        let json = e.to_json();
+        let mut keys: Vec<String> = json[1..json.len() - 1]
+            .split(',')
+            .map(|kv| kv.split(':').next().unwrap().trim_matches('"').to_string())
+            .collect();
+        let mut lines: Vec<String> = e
+            .to_prometheus()
+            .lines()
+            .filter(|l| l.starts_with("# "))
+            .map(String::from)
+            .collect();
+        keys.sort();
+        lines.sort();
+        (keys, lines)
+    }
+
+    /// The same view spelled out from a `(name, TYPE, help)` table: a
+    /// summary exports the seven fixed histogram keys, anything else one key.
+    fn expected_contract(table: &[(&str, &str, &str)]) -> (Vec<String>, Vec<String>) {
+        let (mut keys, mut lines) = (Vec::new(), Vec::new());
+        for &(name, kind, help) in table {
+            if kind == "summary" {
+                for suffix in [
+                    "count", "sum_ns", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns",
+                ] {
+                    keys.push(format!("{name}_{suffix}"));
+                }
+            } else {
+                keys.push(name.to_string());
+            }
+            lines.push(format!("# HELP {name} {help}"));
+            lines.push(format!("# TYPE {name} {kind}"));
+        }
+        keys.sort();
+        lines.sort();
+        (keys, lines)
+    }
+
+    #[test]
+    fn exporter_key_contract_is_pinned() {
+        let m = TrainMetrics::new();
+        m.record_row(1_000, 2_000);
+        m.solve_side.record(Duration::from_micros(10));
+        m.fold_in.record(Duration::from_micros(20));
+        assert_eq!(
+            export_contract(&m.report().exporter()),
+            expected_contract(TRAIN_EXPORT_CONTRACT)
+        );
     }
 }

@@ -56,56 +56,6 @@ pub fn syr_full(a: &mut [f32], x: &[f32]) {
     }
 }
 
-/// Fused Hermitian-assembly step with explicit four-lane inner loops:
-/// `a += x·xᵀ` and `b += val·x` in one call — the per-rating body of the
-/// ALS `get_hermitian` phase ([`syr_full`] + [`axpy`]) with the same manual
-/// vectorization as the serving scan's [`crate::batch::score_dot`], so the
-/// compiler keeps the FMA pipeline full instead of bounds-checking one
-/// element at a time.
-///
-/// **Bit-identical** to `syr_full(a, x); axpy(val, x, b);`: every output
-/// element receives exactly one multiply-add per call, so unrolling the
-/// loop four wide reorders no floating-point reduction (unlike a dot
-/// product, there is nothing to reassociate).  The zero-`x[i]` row skip is
-/// preserved for the same reason.
-///
-/// On x86-64 at `f` = 32–64 this measures *slower* than the scalar pair,
-/// which the compiler auto-vectorizes better, so `cumf-core`'s row solver
-/// assembles with [`syr_full`] + [`axpy`] instead.
-#[inline]
-pub fn syr_axpy(a: &mut [f32], b: &mut [f32], x: &[f32], val: f32) {
-    let f = x.len();
-    debug_assert_eq!(a.len(), f * f);
-    debug_assert_eq!(b.len(), f);
-    let (x4, x_tail) = x.split_at(f & !3);
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = &mut a[i * f..(i + 1) * f];
-        let (r4, r_tail) = row.split_at_mut(x4.len());
-        for (rc, xc) in r4.chunks_exact_mut(4).zip(x4.chunks_exact(4)) {
-            rc[0] += xi * xc[0];
-            rc[1] += xi * xc[1];
-            rc[2] += xi * xc[2];
-            rc[3] += xi * xc[3];
-        }
-        for (r, xj) in r_tail.iter_mut().zip(x_tail.iter()) {
-            *r += xi * xj;
-        }
-    }
-    let (b4, b_tail) = b.split_at_mut(x4.len());
-    for (bc, xc) in b4.chunks_exact_mut(4).zip(x4.chunks_exact(4)) {
-        bc[0] += val * xc[0];
-        bc[1] += val * xc[1];
-        bc[2] += val * xc[2];
-        bc[3] += val * xc[3];
-    }
-    for (bi, xj) in b_tail.iter_mut().zip(x_tail.iter()) {
-        *bi += val * xj;
-    }
-}
-
 /// Symmetric rank-1 update touching only the upper triangle (including the
 /// diagonal): `a[i][j] += x[i]*x[j]` for `j ≥ i`.
 ///
@@ -215,33 +165,6 @@ mod tests {
         // Accumulation: applying again doubles everything.
         syr_full(&mut a, &x);
         assert_eq!(a[4], 8.0);
-    }
-
-    #[test]
-    fn syr_axpy_is_bit_identical_to_syr_full_plus_axpy() {
-        use crate::FactorMatrix;
-        // Ranks off the 4-lane grid exercise the unroll tail; zeros
-        // exercise the row skip.  Bit-identity (==, not tolerance): the
-        // fused kernel performs the same multiply-adds in the same places.
-        for f in [1usize, 3, 4, 7, 8, 13, 32] {
-            let gen = FactorMatrix::random(6, f, 1.0, 90 + f as u64);
-            let mut a_ref = vec![0.0f32; f * f];
-            let mut b_ref = vec![0.0f32; f];
-            let mut a_new = vec![0.0f32; f * f];
-            let mut b_new = vec![0.0f32; f];
-            for r in 0..6 {
-                let mut x = gen.vector(r).to_vec();
-                if r % 2 == 0 {
-                    x[r % f] = 0.0;
-                }
-                let val = 0.5 - r as f32;
-                syr_full(&mut a_ref, &x);
-                axpy(val, &x, &mut b_ref);
-                syr_axpy(&mut a_new, &mut b_new, &x, val);
-            }
-            assert_eq!(a_ref, a_new, "rank {f} Hermitian diverged");
-            assert_eq!(b_ref, b_new, "rank {f} rhs diverged");
-        }
     }
 
     #[test]

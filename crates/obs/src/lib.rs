@@ -7,7 +7,7 @@
 //! both stamp their stage timings into it, and every later performance or
 //! freshness claim in the roadmap is measured through it.
 //!
-//! Three small, dependency-free modules:
+//! Four small, dependency-free modules:
 //!
 //! * [`histogram`] — wait-free, log-bucketed HDR-style histograms
 //!   ([`Histogram::record_ns`] from any thread, `quantile(p)` within
@@ -19,13 +19,19 @@
 //!   JSONL.
 //! * [`exporter`] — renders metric sets as Prometheus text or a flat JSON
 //!   object with CI-assertable keys (`foo_p50_ns`, `foo_p99_ns`, …).
+//! * [`metrics`] — [`metric_set!`] declares a metric set once, one line
+//!   per metric (field, export name, help, kind), and derives the
+//!   recording sink of [`Counter`]/[`HighWater`]/[`Histogram`] cells, its
+//!   report, the window diff, the export and the percentile table.
 
 #![forbid(unsafe_code)]
 pub mod exporter;
 pub mod histogram;
+pub mod metrics;
 pub mod span;
 pub mod sync;
 
 pub use exporter::{Exporter, MetricValue, EXPORT_QUANTILES};
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKET_BITS};
+pub use metrics::{Counter, HighWater};
 pub use span::{ns_between, Sampler, Span, Trace, TraceEvent, TraceLog};

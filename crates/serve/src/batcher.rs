@@ -517,10 +517,10 @@ impl TopKService {
             }));
             if let Err(payload) = scored {
                 state.record_panic(panic_message(payload.as_ref()));
-                metrics.record_worker_panic();
+                metrics.worker_panics.inc();
                 drop(batch); // fail this batch's waiters before resuming
                 if state.try_restart(config.panic_budget) {
-                    metrics.record_worker_restart();
+                    metrics.worker_restarts.inc();
                     continue;
                 }
                 state.poison();
@@ -552,7 +552,7 @@ impl TopKService {
         metrics.record_stage_ns(Stage::Score, ns_between(sealed, scored));
         metrics.record_stage_ns(Stage::Merge, ns_between(scored, merged));
         metrics.record_stage_ns(Stage::Reply, ns_between(merged, replied));
-        metrics.record_request_e2e_ns(ns_between(enqueued, replied));
+        metrics.request_e2e.record_ns(ns_between(enqueued, replied));
         if let Some(mut trace) = popped.request.trace.take() {
             trace.event_between(Stage::QueueWait.name(), enqueued, popped_at);
             trace.event_between(Stage::Coalesce.name(), popped_at, sealed);
@@ -603,11 +603,11 @@ impl TopKService {
         let mut slots: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, popped) in batch.iter_mut().enumerate() {
             let req = &popped.request;
-            metrics.record_request();
+            metrics.requests.inc();
             let key = match &policies[i] {
                 None => CacheKey::new(req.query.user, req.query.k, &req.query.exclude),
                 Some(p) => {
-                    metrics.record_approx_requests(1);
+                    metrics.approx_requests.inc();
                     CacheKey::new_approx(
                         req.query.user,
                         req.query.k,
@@ -619,12 +619,12 @@ impl TopKService {
             }
             .with_precision(precision);
             if let Some(hit) = cache.get(&key, generation) {
-                metrics.record_cache_hit();
+                metrics.cache_hits.inc();
                 // Counted (and stage-stamped) before the send: the client
                 // may observe its reply — and a test may read the metrics —
                 // immediately after.  The reply stage therefore measures up
                 // to the hand-off, not the channel send itself.
-                metrics.record_response();
+                metrics.responses.inc();
                 let replied = Instant::now();
                 Self::finish_request(popped, metrics, tracer, sealed, sealed, sealed, replied);
                 let _ = popped.request.reply.send(hit);
@@ -632,11 +632,11 @@ impl TopKService {
             }
             match pending.entry(key) {
                 Entry::Occupied(entry) => {
-                    metrics.record_cache_hit();
+                    metrics.cache_hits.inc();
                     slots[*entry.get()].1.push(i);
                 }
                 Entry::Vacant(entry) => {
-                    metrics.record_cache_miss();
+                    metrics.cache_misses.inc();
                     entry.insert(slots.len());
                     slots.push((i, Vec::new()));
                 }
@@ -681,7 +681,7 @@ impl TopKService {
             // The rerank ran inside the scoring pass (still in the Score
             // span); break its wall time out per batch when it actually ran.
             if prune.rerank_candidates > 0 {
-                metrics.record_rerank_ns(prune.rerank_ns);
+                metrics.rerank.record_ns(prune.rerank_ns);
             }
             // Scoring ends, merging begins: fan each scored slot's result
             // out to its recipients (the scored request plus its in-flight
@@ -696,9 +696,9 @@ impl TopKService {
             }
             let merged = Instant::now();
             for (i, result) in outgoing {
-                // Stamped before the send, like record_response: the reply
+                // Stamped before the send, like the cache-hit reply above: the reply
                 // stage measures up to the hand-off.
-                metrics.record_response();
+                metrics.responses.inc();
                 let replied = Instant::now();
                 Self::finish_request(
                     &mut batch[i],
@@ -747,8 +747,8 @@ impl TopKService {
         let started = Instant::now();
         let snapshot = encode_to_serving_precision(snapshot, self.precision);
         let generation = self.store.publish(snapshot);
-        self.metrics.record_swap();
-        self.metrics.record_publish_latency(started.elapsed());
+        self.metrics.snapshot_swaps.inc();
+        self.metrics.publish_latency.record(started.elapsed());
         generation
     }
 
@@ -764,9 +764,9 @@ impl TopKService {
     pub fn publish_delta(&self, delta: &SnapshotDelta) -> Result<(u64, DeltaStats), DeltaError> {
         let started = Instant::now();
         let (generation, stats) = self.store.publish_delta(delta)?;
-        self.metrics.record_swap();
-        self.metrics.record_delta_publish();
-        self.metrics.record_publish_latency(started.elapsed());
+        self.metrics.snapshot_swaps.inc();
+        self.metrics.delta_publishes.inc();
+        self.metrics.publish_latency.record(started.elapsed());
         if !delta.touches_items() {
             let mut changed: std::collections::HashSet<u32> =
                 delta.changed_users().iter().copied().collect();
@@ -797,8 +797,8 @@ impl TopKService {
     pub fn compact_items(&self) -> Option<u64> {
         match self.store.compact_items() {
             Ok(Some((base_generation, generation))) => {
-                self.metrics.record_swap();
-                self.metrics.record_item_compaction();
+                self.metrics.snapshot_swaps.inc();
+                self.metrics.item_compactions.inc();
                 // Nothing changed observably: retain everyone's entries.
                 self.cache.invalidate_users(
                     &std::collections::HashSet::new(),
@@ -873,7 +873,7 @@ impl Drop for TopKService {
             if let Err(payload) = worker.join() {
                 self.state.record_panic(panic_message(payload.as_ref()));
                 self.state.poison();
-                self.metrics.record_worker_panic();
+                self.metrics.worker_panics.inc();
             }
         }
         // From here on no request can ever be popped; clients stranded

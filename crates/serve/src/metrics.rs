@@ -2,11 +2,15 @@
 //!
 //! Counters a production retrieval tier exports: request/response counts,
 //! cache hit rate, a power-of-two micro-batch-size histogram (how well the
-//! batcher coalesces), snapshot swaps — plus, since the observability
-//! layer, full [`cumf_obs::Histogram`] latency distributions for every
-//! pipeline [`Stage`] a request passes through and for the end-to-end
-//! request latency itself.  All writers are relaxed atomics — the worker
-//! records on the hot path without locks — and [`ServeMetrics::report`]
+//! batcher coalesces), snapshot swaps — plus full [`cumf_obs::Histogram`]
+//! latency distributions for every pipeline [`Stage`] a request passes
+//! through and for the end-to-end request latency itself.
+//!
+//! Every metric is declared once, in the [`cumf_obs::metric_set!`] block
+//! below: one line gives its field, export name, help text and kind, and
+//! the sink, [`MetricsReport`], `report()`, `since()`, `exporter()` and the
+//! percentile table follow from it.  Hot paths record on the declared cell
+//! directly (`metrics.requests.inc()`), wait-free; [`ServeMetrics::report`]
 //! takes a coherent-enough snapshot for dashboards/tests.
 //!
 //! ## Stage partition
@@ -23,19 +27,23 @@
 //!
 //! ## Windowed reports
 //!
-//! `batch_latency_ns_max` used to be cumulative-only, so a dashboard
-//! polling [`report`](ServeMetrics::report) could never see a spike clear.
+//! Cumulative maxima never reset, so a dashboard polling
+//! [`report`](ServeMetrics::report) could never see a spike clear.
 //! [`ServeMetrics::window_report`] returns both the **cumulative** report
 //! and the **window** since the previous `window_report` call, diffed
-//! bucket-by-bucket via [`HistogramSnapshot::since`].
+//! bucket-by-bucket via [`MetricsReport::since`].
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use cumf_linalg::PruneStats;
-use cumf_obs::{Exporter, Histogram, HistogramSnapshot};
 use std::time::Duration;
 
-/// Number of histogram buckets: batch sizes `1, 2–3, 4–7, …, ≥128`.
+/// Labels of the micro-batch-size buckets (`1, 2–3, 4–7, …, ≥128`) in
+/// their `serve_batch_size_<label>` export names.
+const BATCH_SIZE_LABELS: [&str; BATCH_SIZE_BUCKETS] = [
+    "1", "2to3", "4to7", "8to15", "16to31", "32to63", "64to127", "128up",
+];
+
+/// Number of micro-batch-size buckets.
 pub const BATCH_SIZE_BUCKETS: usize = 8;
 
 /// The pipeline stages every served request passes through, in order.
@@ -68,110 +76,139 @@ impl Stage {
         Stage::Reply,
     ];
 
+    /// Stable snake_case names, indexed by `Stage as usize` (used in
+    /// exporter keys, table rows and trace stages).
+    const NAMES: [&'static str; STAGES] = ["queue_wait", "coalesce", "score", "merge", "reply"];
+
     /// Stable snake_case name (used in exporter keys and trace stages).
     pub fn name(self) -> &'static str {
-        match self {
-            Stage::QueueWait => "queue_wait",
-            Stage::Coalesce => "coalesce",
-            Stage::Score => "score",
-            Stage::Merge => "merge",
-            Stage::Reply => "reply",
-        }
+        Self::NAMES[self as usize]
     }
 }
 
-/// Shared, lock-free serving counters and latency histograms.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    requests: AtomicU64,
-    responses: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    batches: AtomicU64,
-    batch_items: AtomicU64,
-    batch_size_hist: [AtomicU64; BATCH_SIZE_BUCKETS],
-    /// Per-batch serve_batch wall time (exact sum/max live inside).
-    batch_latency: Histogram,
-    /// Per-request latency of each pipeline stage.
-    stages: [Histogram; STAGES],
-    /// Per-request end-to-end latency (enqueue → reply sent).
-    request_e2e: Histogram,
-    /// Publisher-observed snapshot/delta publish latency.
-    publish_latency: Histogram,
-    /// Rating-ingest instant → first snapshot whose results reflect it.
-    freshness: Histogram,
-    /// Per-batch exact-f32 rerank pass over quantized-scan candidates
-    /// (recorded only when a rerank actually ran — all-f32 batches skip it).
-    rerank: Histogram,
-    /// Bytes streamed by the blocked scorer: encoded slab bytes (+ scale
-    /// tables) for quantized segments, raw f32 bytes for exact ones, plus
-    /// the exact rows the rerank re-reads.  The bytes/query numerator.
-    bytes_scanned: AtomicU64,
-    /// Candidates rescored against retained exact f32 rows by the rerank.
-    rerank_candidates: AtomicU64,
-    /// Requests currently sitting in the batcher channel.
-    queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth` since startup.
-    queue_depth_hwm: AtomicU64,
-    snapshot_swaps: AtomicU64,
-    delta_publishes: AtomicU64,
-    item_compactions: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    blocks_scored: AtomicU64,
-    blocks_pruned: AtomicU64,
-    blocks_terminated: AtomicU64,
-    approx_requests: AtomicU64,
-    /// Baseline of the previous `window_report` call.
-    window_baseline: Mutex<Option<MetricsReport>>,
+cumf_obs::metric_set! {
+    /// Shared, lock-free serving counters and latency histograms.
+    pub struct ServeMetrics {
+        /// Baseline of the previous `window_report` call.
+        window_baseline: Mutex<Option<MetricsReport>>,
+    }
+    /// Read-side copy of [`ServeMetrics`].
+    pub struct MetricsReport;
+    metrics {
+        /// Requests accepted by the batcher.
+        requests: counter("serve_requests", "requests accepted by the batcher"),
+        /// Replies delivered.
+        responses: counter("serve_responses", "replies delivered"),
+        /// Results served from the cache.
+        cache_hits: counter("serve_cache_hits", "results served from cache"),
+        /// Results scored against a snapshot.
+        cache_misses: counter("serve_cache_misses", "results scored"),
+        /// Coalesced micro-batches scored.
+        batches: counter("serve_batches", "micro-batches scored"),
+        /// Total requests across all micro-batches.
+        batch_items: counter("serve_batch_items", "requests across all micro-batches"),
+        /// Micro-batches per size bucket (`1, 2–3, 4–7, …, ≥128`).
+        batch_size_hist: counter[BATCH_SIZE_LABELS]("serve_batch_size_{}", "micro-batches of {} requests"),
+        /// Most requests ever simultaneously queued in the batcher channel
+        /// (the cell also holds the current depth).
+        queue_depth_high_water: high_water("serve_queue_depth_high_water", "most requests ever simultaneously queued"),
+        /// Snapshot generations published.
+        snapshot_swaps: counter("serve_snapshot_swaps", "snapshot generations published"),
+        /// Publications through the incremental delta path (a subset of
+        /// `snapshot_swaps`).
+        delta_publishes: counter("serve_delta_publishes", "publications through the delta path"),
+        /// Item-segment compaction republishes (a subset of `snapshot_swaps`).
+        item_compactions: counter("serve_item_compactions", "item-segment compaction republishes"),
+        /// Scoring panics caught in workers (0 in a healthy service).
+        worker_panics: counter("serve_worker_panics", "scoring panics caught"),
+        /// Panicked workers restarted within the panic budget
+        /// (`worker_panics - worker_restarts` workers died for good).
+        worker_restarts: counter("serve_worker_restarts", "panicked workers restarted"),
+        /// Item blocks streamed and scored by the blocked scorer.
+        blocks_scored: counter("serve_blocks_scored", "item blocks streamed and scored"),
+        /// Item blocks skipped whole on the Cauchy–Schwarz norm bound: an
+        /// **exact** decision that never changes results.
+        blocks_pruned: counter("serve_blocks_pruned", "item blocks skipped exactly"),
+        /// Item blocks skipped by approximate early termination (epsilon
+        /// slack or block budget), counted apart from `blocks_pruned` so the
+        /// exact-pruning rate stays honest.
+        blocks_terminated: counter("serve_blocks_terminated", "item blocks skipped approximately"),
+        /// Requests scored (or served from cache) under an approximate policy.
+        approx_requests: counter("serve_approx_requests", "requests served under an approximate policy"),
+        /// Bytes streamed by the blocked scorer: encoded slab bytes (+ scale
+        /// tables) for quantized segments, raw f32 bytes for exact ones, plus
+        /// the exact rows the rerank re-reads.  The bytes/query numerator.
+        bytes_scanned: counter("serve_bytes_scanned", "bytes streamed by the blocked scorer (encoded + rerank rows)"),
+        /// Candidates rescored against retained exact f32 rows by the rerank.
+        rerank_candidates: counter("serve_rerank_candidates", "candidates rescored against exact f32 rows"),
+        /// Per-request latency of each pipeline stage, indexed by
+        /// `Stage as usize` (see [`MetricsReport::stage`]).
+        stages: histogram[Stage::NAMES]("serve_stage_{}", "per-request {} stage latency"),
+        /// Per-request end-to-end latency (enqueue → reply sent).
+        request_e2e: histogram("serve_request_e2e", "per-request end-to-end latency (enqueue to reply)"),
+        /// Per-batch scoring wall time (exact sum/max live inside).
+        batch_latency: histogram("serve_batch_latency", "per-micro-batch scoring wall time"),
+        /// Publisher-side snapshot/delta publish latency (build + swap, not
+        /// reader visibility lag).
+        publish_latency: histogram("serve_delta_publish", "publisher-side snapshot/delta publish latency"),
+        /// A rating's stream-ingest instant → the first snapshot publish
+        /// reflecting it (recorded by [`crate::online::OnlineLoop`]); the
+        /// online loop's end-to-end staleness bound.
+        freshness: histogram("serve_freshness", "rating ingest to first reflecting snapshot publish"),
+        /// Per-batch exact-f32 rerank pass over quantized-scan candidates,
+        /// inside the [`Stage::Score`] span (recorded only for batches that
+        /// actually reranked).
+        rerank: histogram("serve_rerank", "per-batch exact-f32 rerank pass latency (inside Score)"),
+    }
+    derived(derive_rates) {
+        /// `hits / (hits + misses)`.
+        cache_hit_rate: f64 => gauge("serve_cache_hit_rate", "hits / (hits + misses)"),
+        /// Mean requests per micro-batch.
+        mean_batch_size: f64 => gauge("serve_mean_batch_size", "mean requests per micro-batch"),
+        /// Mean scoring latency per micro-batch (exact — from the
+        /// histogram's exact sum).
+        mean_batch_latency: Duration,
+        /// Worst scoring latency of any micro-batch (exact in a cumulative
+        /// report; bucket-bounded in a window).
+        max_batch_latency: Duration,
+    }
+}
+
+/// `num / den`, or `0.0` when `den` is zero.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Computes the derived fields of a report, cumulative or windowed, from
+/// its own counts.
+fn derive_rates(r: &mut MetricsReport) {
+    r.cache_hit_rate = ratio(r.cache_hits, r.cache_hits + r.cache_misses);
+    r.mean_batch_size = ratio(r.batch_items, r.batches);
+    let mean_ns = r.batch_latency.sum_ns().checked_div(r.batches).unwrap_or(0);
+    r.mean_batch_latency = Duration::from_nanos(mean_ns);
+    r.max_batch_latency = Duration::from_nanos(r.batch_latency.max_ns());
 }
 
 impl ServeMetrics {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one request entering the batcher.
-    pub fn record_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records one reply sent.
-    pub fn record_response(&self) {
-        self.responses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a result served from the cache.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a result that had to be scored.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
     /// Records one coalesced micro-batch of `size` requests scored in
     /// `latency`.
     pub fn record_batch(&self, size: usize, latency: Duration) {
-        self.batches.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.batch_items.fetch_add(size as u64, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+        self.batches.inc();
+        self.batch_items.add(size as u64);
         let bucket = (usize::BITS - 1)
             .saturating_sub(size.max(1).leading_zeros())
             .min(BATCH_SIZE_BUCKETS as u32 - 1) as usize;
-        self.batch_size_hist[bucket].fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+        self.batch_size_hist[bucket].inc();
         self.batch_latency.record(latency);
     }
 
     /// Records one request's time in `stage`, in nanoseconds.
     pub fn record_stage_ns(&self, stage: Stage, ns: u64) {
         self.stages[stage as usize].record_ns(ns);
-    }
-
-    /// Records one request's end-to-end latency (enqueue → reply sent).
-    pub fn record_request_e2e_ns(&self, ns: u64) {
-        self.request_e2e.record_ns(ns);
     }
 
     /// Records a request entering the batcher queue.  Call **before** the
@@ -181,150 +218,32 @@ impl ServeMetrics {
     ///
     /// [`record_queue_exit`]: ServeMetrics::record_queue_exit
     pub fn record_queue_enter(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: atomic +1 keeps the gauge balanced; no payload is published through it
-        self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed); // relaxed-ok: monotonic max of this thread's own post-increment depth
+        self.queue_depth_high_water.enter();
     }
 
     /// Records a request leaving the batcher queue (popped by a worker, or
     /// un-counts a failed send).
     pub fn record_queue_exit(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed); // relaxed-ok: the matching -1; atomicity alone keeps the gauge balanced
+        self.queue_depth_high_water.exit();
     }
 
     /// Requests currently queued (an instantaneous gauge).
     pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed) // relaxed-ok: instantaneous gauge read, report-only
-    }
-
-    /// Records a snapshot hot-swap.
-    pub fn record_swap(&self) {
-        self.snapshot_swaps.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a swap that went through the incremental delta path (also
-    /// counted in `snapshot_swaps`).
-    pub fn record_delta_publish(&self) {
-        self.delta_publishes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records how long a snapshot/delta publication took from the
-    /// publisher's point of view (build + swap, not reader visibility lag).
-    pub fn record_publish_latency(&self, latency: Duration) {
-        self.publish_latency.record(latency);
-    }
-
-    /// Records one rating's **freshness**: the wall time from the instant
-    /// the rating was ingested from the stream to the instant the first
-    /// snapshot generation reflecting it was published.  Serving traffic
-    /// admitted after that publish sees the update, so this is the online
-    /// loop's end-to-end staleness bound.
-    pub fn record_freshness_ns(&self, ns: u64) {
-        self.freshness.record_ns(ns);
-    }
-
-    /// Records an item-segment compaction republish (also counted in
-    /// `snapshot_swaps`).
-    pub fn record_item_compaction(&self) {
-        self.item_compactions.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a scorer worker panicking while scoring — the panicked batch
-    /// was dropped; whether capacity was lost depends on the restart
-    /// budget (`worker_restarts` counts the recoveries).
-    pub fn record_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a panicked worker resuming within its panic budget.
-    pub fn record_worker_restart(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+        self.queue_depth_high_water.level()
     }
 
     /// Records one batch's block-scan outcome: how many item blocks the
     /// scorer streamed, skipped exactly on the norm bound, and skipped by
-    /// approximate early termination.  Keeping the three counts separate is
+    /// approximate early termination, plus the bytes it streamed and the
+    /// candidates it reranked.  Keeping the three block counts separate is
     /// what keeps [`MetricsReport::pruned_block_rate`] truthful when exact
     /// and approximate traffic mix.
     pub fn record_pruning(&self, stats: &PruneStats) {
-        self.blocks_scored
-            .fetch_add(stats.blocks_scored, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.blocks_pruned
-            .fetch_add(stats.blocks_pruned, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.blocks_terminated
-            .fetch_add(stats.blocks_terminated, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.bytes_scanned
-            .fetch_add(stats.bytes_scanned, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.rerank_candidates
-            .fetch_add(stats.rerank_candidates, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records one batch's exact-f32 rerank pass wall time, in nanoseconds.
-    /// The rerank runs **inside** the [`Stage::Score`] span (so the
-    /// five-stage telescoping identity is untouched); this histogram breaks
-    /// its cost out the way `serve_freshness` breaks out staleness.
-    pub fn record_rerank_ns(&self, ns: u64) {
-        self.rerank.record_ns(ns);
-    }
-
-    /// Records `n` requests scored under an approximate policy (cache hits
-    /// of approximate entries included — the caller counts what it serves).
-    pub fn record_approx_requests(&self, n: u64) {
-        self.approx_requests.fetch_add(n, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// A point-in-time copy of all counters plus derived rates.  Cumulative
-    /// since startup; see [`window_report`](ServeMetrics::window_report)
-    /// for since-last-poll semantics.
-    pub fn report(&self) -> MetricsReport {
-        let requests = self.requests.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let hits = self.cache_hits.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let misses = self.cache_misses.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let batches = self.batches.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let batch_items = self.batch_items.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let batch_latency = self.batch_latency.snapshot();
-        MetricsReport {
-            requests,
-            responses: self.responses.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            cache_hits: hits,
-            cache_misses: misses,
-            batches,
-            batch_size_hist: std::array::from_fn(|i| {
-                self.batch_size_hist[i].load(Ordering::Relaxed) // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            }),
-            mean_batch_size: if batches > 0 {
-                batch_items as f64 / batches as f64
-            } else {
-                0.0
-            },
-            batch_items,
-            cache_hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
-            mean_batch_latency: Duration::from_nanos(
-                batch_latency.sum_ns().checked_div(batches).unwrap_or(0),
-            ),
-            max_batch_latency: Duration::from_nanos(batch_latency.max_ns()),
-            batch_latency,
-            stages: std::array::from_fn(|i| self.stages[i].snapshot()),
-            request_e2e: self.request_e2e.snapshot(),
-            publish_latency: self.publish_latency.snapshot(),
-            freshness: self.freshness.snapshot(),
-            rerank: self.rerank.snapshot(),
-            bytes_scanned: self.bytes_scanned.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            rerank_candidates: self.rerank_candidates.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            queue_depth_high_water: self.queue_depth_hwm.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            delta_publishes: self.delta_publishes.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            item_compactions: self.item_compactions.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            worker_panics: self.worker_panics.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            blocks_scored: self.blocks_scored.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            blocks_pruned: self.blocks_pruned.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            blocks_terminated: self.blocks_terminated.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            approx_requests: self.approx_requests.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        }
+        self.blocks_scored.add(stats.blocks_scored);
+        self.blocks_pruned.add(stats.blocks_pruned);
+        self.blocks_terminated.add(stats.blocks_terminated);
+        self.bytes_scanned.add(stats.bytes_scanned);
+        self.rerank_candidates.add(stats.rerank_candidates);
     }
 
     /// Takes a cumulative report **and** the window since the previous
@@ -356,86 +275,9 @@ pub struct WindowedReport {
     pub cumulative: MetricsReport,
 }
 
-/// Read-side copy of [`ServeMetrics`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsReport {
-    /// Requests accepted by the batcher.
-    pub requests: u64,
-    /// Replies delivered.
-    pub responses: u64,
-    /// Results served from the cache.
-    pub cache_hits: u64,
-    /// Results scored against a snapshot.
-    pub cache_misses: u64,
-    /// Coalesced micro-batches scored.
-    pub batches: u64,
-    /// Total requests across all micro-batches.
-    pub batch_items: u64,
-    /// Batch-size histogram (buckets `1, 2–3, 4–7, …, ≥128`).
-    pub batch_size_hist: [u64; BATCH_SIZE_BUCKETS],
-    /// Mean requests per micro-batch.
-    pub mean_batch_size: f64,
-    /// `hits / (hits + misses)`.
-    pub cache_hit_rate: f64,
-    /// Mean scoring latency per micro-batch (exact — from the histogram's
-    /// exact sum).
-    pub mean_batch_latency: Duration,
-    /// Worst scoring latency of any micro-batch (exact in a cumulative
-    /// report; bucket-bounded in a window).
-    pub max_batch_latency: Duration,
-    /// Full per-batch scoring latency distribution.
-    pub batch_latency: HistogramSnapshot,
-    /// Per-request latency distribution of each pipeline stage, indexed by
-    /// `Stage as usize` (see [`MetricsReport::stage`]).
-    pub stages: [HistogramSnapshot; STAGES],
-    /// Per-request end-to-end latency distribution (enqueue → reply sent).
-    pub request_e2e: HistogramSnapshot,
-    /// Publisher-side snapshot/delta publish latency distribution.
-    pub publish_latency: HistogramSnapshot,
-    /// Rating freshness distribution: stream-ingest instant → first
-    /// snapshot publish reflecting the rating (recorded by the online
-    /// loop's [`crate::online::OnlineLoop`]).
-    pub freshness: HistogramSnapshot,
-    /// Per-batch exact-f32 rerank pass latency (inside the Score stage;
-    /// recorded only for batches that actually reranked).
-    pub rerank: HistogramSnapshot,
-    /// Bytes streamed by the blocked scorer (encoded slab + scale tables
-    /// for quantized segments, f32 rows for exact ones, plus the exact rows
-    /// the rerank re-reads).
-    pub bytes_scanned: u64,
-    /// Candidates rescored against retained exact f32 rows by the rerank.
-    pub rerank_candidates: u64,
-    /// Most requests ever simultaneously queued in the batcher channel.
-    pub queue_depth_high_water: u64,
-    /// Snapshot generations published.
-    pub snapshot_swaps: u64,
-    /// Publications that went through the incremental delta path (a subset
-    /// of `snapshot_swaps`).
-    pub delta_publishes: u64,
-    /// Item-segment compaction republishes (a subset of `snapshot_swaps`).
-    pub item_compactions: u64,
-    /// Scoring panics caught in workers (0 in a healthy service).
-    pub worker_panics: u64,
-    /// Panicked workers restarted within the panic budget (`worker_panics -
-    /// worker_restarts` workers died for good).
-    pub worker_restarts: u64,
-    /// Item blocks streamed and scored by the blocked scorer.
-    pub blocks_scored: u64,
-    /// Item blocks skipped whole on the Cauchy–Schwarz norm bound — the
-    /// pruning-effectiveness counter a norm-descending layout drives up.
-    /// An **exact** decision; never changes results.
-    pub blocks_pruned: u64,
-    /// Item blocks skipped by approximate early termination (epsilon slack
-    /// or block budget) — a result-affecting skip, counted apart from
-    /// `blocks_pruned` so the exact-pruning rate stays honest.
-    pub blocks_terminated: u64,
-    /// Requests scored (or served from cache) under an approximate policy.
-    pub approx_requests: u64,
-}
-
 impl MetricsReport {
     /// The latency distribution of one pipeline stage.
-    pub fn stage(&self, stage: Stage) -> &HistogramSnapshot {
+    pub fn stage(&self, stage: Stage) -> &cumf_obs::HistogramSnapshot {
         &self.stages[stage as usize]
     }
 
@@ -443,223 +285,18 @@ impl MetricsReport {
     /// pruning (`0.0` when nothing was scored).  Terminated blocks widen
     /// the denominator but never the numerator.
     pub fn pruned_block_rate(&self) -> f64 {
-        let total = self.blocks_scored + self.blocks_pruned + self.blocks_terminated;
-        if total == 0 {
-            0.0
-        } else {
-            self.blocks_pruned as f64 / total as f64
-        }
+        ratio(self.blocks_pruned, self.blocks_visited())
     }
 
     /// Fraction of visited item blocks skipped by **approximate** early
     /// termination (`0.0` when nothing was scored).
     pub fn terminated_block_rate(&self) -> f64 {
-        let total = self.blocks_scored + self.blocks_pruned + self.blocks_terminated;
-        if total == 0 {
-            0.0
-        } else {
-            self.blocks_terminated as f64 / total as f64
-        }
+        ratio(self.blocks_terminated, self.blocks_visited())
     }
 
-    /// The activity between `baseline` and `self`, where `baseline` is an
-    /// earlier report from the same [`ServeMetrics`].  Counters subtract;
-    /// histograms diff bucket-by-bucket ([`HistogramSnapshot::since`]), so
-    /// window quantiles and means are exact while window maxima are
-    /// bucket-bounded.  `queue_depth_high_water` stays cumulative (a
-    /// high-water mark has no meaningful difference).
-    pub fn since(&self, baseline: &MetricsReport) -> MetricsReport {
-        let requests = self.requests.saturating_sub(baseline.requests);
-        let hits = self.cache_hits.saturating_sub(baseline.cache_hits);
-        let misses = self.cache_misses.saturating_sub(baseline.cache_misses);
-        let batches = self.batches.saturating_sub(baseline.batches);
-        let batch_items = self.batch_items.saturating_sub(baseline.batch_items);
-        let batch_latency = self.batch_latency.since(&baseline.batch_latency);
-        MetricsReport {
-            requests,
-            responses: self.responses.saturating_sub(baseline.responses),
-            cache_hits: hits,
-            cache_misses: misses,
-            batches,
-            batch_items,
-            batch_size_hist: std::array::from_fn(|i| {
-                self.batch_size_hist[i].saturating_sub(baseline.batch_size_hist[i])
-            }),
-            mean_batch_size: if batches > 0 {
-                batch_items as f64 / batches as f64
-            } else {
-                0.0
-            },
-            cache_hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
-            mean_batch_latency: Duration::from_nanos(
-                batch_latency.sum_ns().checked_div(batches).unwrap_or(0),
-            ),
-            max_batch_latency: Duration::from_nanos(batch_latency.max_ns()),
-            batch_latency,
-            stages: std::array::from_fn(|i| self.stages[i].since(&baseline.stages[i])),
-            request_e2e: self.request_e2e.since(&baseline.request_e2e),
-            publish_latency: self.publish_latency.since(&baseline.publish_latency),
-            freshness: self.freshness.since(&baseline.freshness),
-            rerank: self.rerank.since(&baseline.rerank),
-            bytes_scanned: self.bytes_scanned.saturating_sub(baseline.bytes_scanned),
-            rerank_candidates: self
-                .rerank_candidates
-                .saturating_sub(baseline.rerank_candidates),
-            queue_depth_high_water: self.queue_depth_high_water,
-            snapshot_swaps: self.snapshot_swaps.saturating_sub(baseline.snapshot_swaps),
-            delta_publishes: self
-                .delta_publishes
-                .saturating_sub(baseline.delta_publishes),
-            item_compactions: self
-                .item_compactions
-                .saturating_sub(baseline.item_compactions),
-            worker_panics: self.worker_panics.saturating_sub(baseline.worker_panics),
-            worker_restarts: self
-                .worker_restarts
-                .saturating_sub(baseline.worker_restarts),
-            blocks_scored: self.blocks_scored.saturating_sub(baseline.blocks_scored),
-            blocks_pruned: self.blocks_pruned.saturating_sub(baseline.blocks_pruned),
-            blocks_terminated: self
-                .blocks_terminated
-                .saturating_sub(baseline.blocks_terminated),
-            approx_requests: self
-                .approx_requests
-                .saturating_sub(baseline.approx_requests),
-        }
+    fn blocks_visited(&self) -> u64 {
+        self.blocks_scored + self.blocks_pruned + self.blocks_terminated
     }
-
-    /// Renders this report as a [`cumf_obs::Exporter`] metric set with
-    /// stable `serve_*` names (`serve_stage_<name>` histograms expand to
-    /// `serve_stage_<name>_p50_ns` etc. in the JSON rendering — the keys CI
-    /// asserts on).
-    pub fn exporter(&self) -> Exporter {
-        let mut e = Exporter::new();
-        e.counter(
-            "serve_requests",
-            "requests accepted by the batcher",
-            self.requests,
-        )
-        .counter("serve_responses", "replies delivered", self.responses)
-        .counter(
-            "serve_cache_hits",
-            "results served from cache",
-            self.cache_hits,
-        )
-        .counter("serve_cache_misses", "results scored", self.cache_misses)
-        .counter("serve_batches", "micro-batches scored", self.batches)
-        .gauge(
-            "serve_cache_hit_rate",
-            "hits / (hits + misses)",
-            self.cache_hit_rate,
-        )
-        .gauge(
-            "serve_mean_batch_size",
-            "mean requests per micro-batch",
-            self.mean_batch_size,
-        )
-        .counter(
-            "serve_queue_depth_high_water",
-            "most requests ever simultaneously queued",
-            self.queue_depth_high_water,
-        )
-        .counter(
-            "serve_snapshot_swaps",
-            "snapshot generations published",
-            self.snapshot_swaps,
-        )
-        .counter(
-            "serve_delta_publishes",
-            "publications through the delta path",
-            self.delta_publishes,
-        )
-        .counter(
-            "serve_item_compactions",
-            "item-segment compaction republishes",
-            self.item_compactions,
-        )
-        .counter(
-            "serve_worker_panics",
-            "scoring panics caught",
-            self.worker_panics,
-        )
-        .counter(
-            "serve_worker_restarts",
-            "panicked workers restarted",
-            self.worker_restarts,
-        )
-        .counter(
-            "serve_blocks_scored",
-            "item blocks streamed and scored",
-            self.blocks_scored,
-        )
-        .counter(
-            "serve_blocks_pruned",
-            "item blocks skipped exactly",
-            self.blocks_pruned,
-        )
-        .counter(
-            "serve_blocks_terminated",
-            "item blocks skipped approximately",
-            self.blocks_terminated,
-        )
-        .counter(
-            "serve_approx_requests",
-            "requests served under an approximate policy",
-            self.approx_requests,
-        )
-        .counter(
-            "serve_bytes_scanned",
-            "bytes streamed by the blocked scorer (encoded + rerank rows)",
-            self.bytes_scanned,
-        )
-        .counter(
-            "serve_rerank_candidates",
-            "candidates rescored against exact f32 rows",
-            self.rerank_candidates,
-        );
-        for stage in Stage::ALL {
-            e.histogram(
-                &format!("serve_stage_{}", stage.name()),
-                &format!("per-request {} stage latency", stage.name()),
-                self.stage(stage).clone(),
-            );
-        }
-        e.histogram(
-            "serve_request_e2e",
-            "per-request end-to-end latency (enqueue to reply)",
-            self.request_e2e.clone(),
-        )
-        .histogram(
-            "serve_batch_latency",
-            "per-micro-batch scoring wall time",
-            self.batch_latency.clone(),
-        )
-        .histogram(
-            "serve_delta_publish",
-            "publisher-side snapshot/delta publish latency",
-            self.publish_latency.clone(),
-        )
-        .histogram(
-            "serve_freshness",
-            "rating ingest to first reflecting snapshot publish",
-            self.freshness.clone(),
-        )
-        .histogram(
-            "serve_rerank",
-            "per-batch exact-f32 rerank pass latency (inside Score)",
-            self.rerank.clone(),
-        );
-        e
-    }
-}
-
-/// Formats nanoseconds as a humane `Duration` debug string.
-fn fmt_ns(ns: u64) -> String {
-    format!("{:?}", Duration::from_nanos(ns))
 }
 
 impl std::fmt::Display for MetricsReport {
@@ -709,33 +346,7 @@ impl std::fmt::Display for MetricsReport {
             self.batch_size_hist
         )?;
         writeln!(f, "queue depth high-water: {}", self.queue_depth_high_water)?;
-        writeln!(
-            f,
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>8}",
-            "stage", "p50", "p90", "p99", "max", "count"
-        )?;
-        let mut rows: Vec<(&str, &HistogramSnapshot)> = Stage::ALL
-            .iter()
-            .map(|&s| (s.name(), self.stage(s)))
-            .collect();
-        rows.push(("e2e", &self.request_e2e));
-        rows.push(("batch", &self.batch_latency));
-        rows.push(("publish", &self.publish_latency));
-        rows.push(("freshness", &self.freshness));
-        rows.push(("rerank", &self.rerank));
-        for (name, h) in rows {
-            writeln!(
-                f,
-                "{:<12} {:>10} {:>10} {:>10} {:>10} {:>8}",
-                name,
-                fmt_ns(h.quantile(0.5)),
-                fmt_ns(h.quantile(0.9)),
-                fmt_ns(h.quantile(0.99)),
-                fmt_ns(h.max_ns()),
-                h.count()
-            )?;
-        }
-        Ok(())
+        self.write_table(f)
     }
 }
 
@@ -763,15 +374,15 @@ mod tests {
     fn rates_and_latencies_are_derived() {
         let m = ServeMetrics::new();
         for _ in 0..3 {
-            m.record_request();
-            m.record_response();
+            m.requests.inc();
+            m.responses.inc();
         }
-        m.record_cache_hit();
-        m.record_cache_miss();
-        m.record_cache_miss();
+        m.cache_hits.inc();
+        m.cache_misses.inc();
+        m.cache_misses.inc();
         m.record_batch(3, Duration::from_millis(2));
         m.record_batch(1, Duration::from_millis(4));
-        m.record_swap();
+        m.snapshot_swaps.inc();
         let r = m.report();
         assert_eq!(r.requests, 3);
         assert!((r.cache_hit_rate - 1.0 / 3.0).abs() < 1e-12);
@@ -797,7 +408,7 @@ mod tests {
         for ns in [1_000u64, 2_000, 10_000] {
             m.record_stage_ns(Stage::QueueWait, ns);
             m.record_stage_ns(Stage::Score, ns * 2);
-            m.record_request_e2e_ns(ns * 3);
+            m.request_e2e.record_ns(ns * 3);
         }
         let r = m.report();
         assert_eq!(r.stage(Stage::QueueWait).count(), 3);
@@ -828,7 +439,7 @@ mod tests {
     fn windowed_report_resets_the_latency_view() {
         let m = ServeMetrics::new();
         m.record_batch(1, Duration::from_millis(50)); // the spike
-        m.record_request();
+        m.requests.inc();
         let first = m.window_report();
         assert_eq!(first.window.batches, 1);
         assert_eq!(first.window.requests, 1);
@@ -855,6 +466,45 @@ mod tests {
         assert_eq!(third.window.batches, 0);
         assert_eq!(third.window.batch_latency.count(), 0);
         assert_eq!(third.window.mean_batch_latency, Duration::ZERO);
+
+        // One busy window covers every cell kind.  Traffic before it (one
+        // hit, three misses, a queue two deep) must not leak into it: the
+        // counter and the histogram count only the window, the queue
+        // high-water mark stays cumulative, and the rates are recomputed
+        // from the window's own counts.
+        m.cache_hits.inc();
+        for _ in 0..3 {
+            m.cache_misses.inc();
+        }
+        m.record_queue_enter();
+        m.record_queue_enter();
+        m.record_queue_exit();
+        m.record_queue_exit();
+        m.window_report();
+        m.requests.inc();
+        m.requests.inc();
+        m.freshness.record_ns(7_000);
+        for _ in 0..3 {
+            m.cache_hits.inc();
+        }
+        m.cache_misses.inc();
+        m.record_queue_enter();
+        m.record_queue_exit();
+        m.record_batch(4, Duration::from_micros(200));
+        m.record_batch(2, Duration::from_micros(200));
+        let busy = m.window_report();
+        let w = &busy.window;
+        assert_eq!(w.requests, 2);
+        assert_eq!(w.freshness.count(), 1);
+        assert_eq!(w.freshness.sum_ns(), 7_000);
+        assert_eq!(w.queue_depth_high_water, 2, "the peak predates the window");
+        assert!(
+            (w.cache_hit_rate - 0.75).abs() < 1e-12,
+            "3 / 4 in the window"
+        );
+        assert!((busy.cumulative.cache_hit_rate - 0.5).abs() < 1e-12);
+        assert_eq!(w.mean_batch_size, 3.0, "(4 + 2) / 2 in the window");
+        assert_eq!(busy.cumulative.mean_batch_size, 2.0);
     }
 
     #[test]
@@ -890,9 +540,9 @@ mod tests {
             blocks_terminated: 0,
             ..Default::default()
         });
-        m.record_worker_panic();
-        m.record_worker_restart();
-        m.record_item_compaction();
+        m.worker_panics.inc();
+        m.worker_restarts.inc();
+        m.item_compactions.inc();
         let r = m.report();
         assert_eq!((r.blocks_scored, r.blocks_pruned), (6, 10));
         assert!((r.pruned_block_rate() - 10.0 / 16.0).abs() < 1e-12);
@@ -913,7 +563,7 @@ mod tests {
             blocks_terminated: 8,
             ..Default::default()
         });
-        m.record_approx_requests(3);
+        m.approx_requests.add(3);
         let r = m.report();
         assert_eq!(r.blocks_terminated, 8);
         assert_eq!(r.approx_requests, 3);
@@ -934,8 +584,8 @@ mod tests {
             rerank_candidates: 20,
             ..Default::default()
         });
-        m.record_rerank_ns(5_000);
-        m.record_rerank_ns(9_000);
+        m.rerank.record_ns(5_000);
+        m.rerank.record_ns(9_000);
         let first = m.window_report();
         assert_eq!(first.cumulative.bytes_scanned, 4096);
         assert_eq!(first.cumulative.rerank_candidates, 20);
@@ -947,7 +597,7 @@ mod tests {
             bytes_scanned: 100,
             ..Default::default()
         });
-        m.record_rerank_ns(1_000);
+        m.rerank.record_ns(1_000);
         let second = m.window_report();
         assert_eq!(second.window.bytes_scanned, 100);
         assert_eq!(second.window.rerank_candidates, 0);
@@ -974,7 +624,7 @@ mod tests {
         let m = ServeMetrics::new();
         m.record_batch(2, Duration::from_micros(500));
         m.record_stage_ns(Stage::Score, 250_000);
-        m.record_request_e2e_ns(400_000);
+        m.request_e2e.record_ns(400_000);
         let text = m.report().to_string();
         assert!(text.contains("batches: 1"));
         assert!(text.contains("cache"));
@@ -983,5 +633,258 @@ mod tests {
             assert!(text.contains(row), "missing {row} row in:\n{text}");
         }
         assert!(text.contains("queue depth high-water"));
+    }
+
+    /// Every metric the serving exporter publishes: `(name, Prometheus
+    /// TYPE, help)`.  CI's python checks and dashboards read these names,
+    /// so a rename, retype or new help text is a contract break and an
+    /// added metric must be listed here.
+    const SERVE_EXPORT_CONTRACT: &[(&str, &str, &str)] = &[
+        (
+            "serve_requests",
+            "counter",
+            "requests accepted by the batcher",
+        ),
+        ("serve_responses", "counter", "replies delivered"),
+        ("serve_cache_hits", "counter", "results served from cache"),
+        ("serve_cache_misses", "counter", "results scored"),
+        ("serve_batches", "counter", "micro-batches scored"),
+        ("serve_cache_hit_rate", "gauge", "hits / (hits + misses)"),
+        (
+            "serve_mean_batch_size",
+            "gauge",
+            "mean requests per micro-batch",
+        ),
+        (
+            "serve_queue_depth_high_water",
+            "counter",
+            "most requests ever simultaneously queued",
+        ),
+        (
+            "serve_snapshot_swaps",
+            "counter",
+            "snapshot generations published",
+        ),
+        (
+            "serve_delta_publishes",
+            "counter",
+            "publications through the delta path",
+        ),
+        (
+            "serve_item_compactions",
+            "counter",
+            "item-segment compaction republishes",
+        ),
+        ("serve_worker_panics", "counter", "scoring panics caught"),
+        (
+            "serve_worker_restarts",
+            "counter",
+            "panicked workers restarted",
+        ),
+        (
+            "serve_blocks_scored",
+            "counter",
+            "item blocks streamed and scored",
+        ),
+        (
+            "serve_blocks_pruned",
+            "counter",
+            "item blocks skipped exactly",
+        ),
+        (
+            "serve_blocks_terminated",
+            "counter",
+            "item blocks skipped approximately",
+        ),
+        (
+            "serve_approx_requests",
+            "counter",
+            "requests served under an approximate policy",
+        ),
+        (
+            "serve_bytes_scanned",
+            "counter",
+            "bytes streamed by the blocked scorer (encoded + rerank rows)",
+        ),
+        (
+            "serve_rerank_candidates",
+            "counter",
+            "candidates rescored against exact f32 rows",
+        ),
+        (
+            "serve_stage_queue_wait",
+            "summary",
+            "per-request queue_wait stage latency",
+        ),
+        (
+            "serve_stage_coalesce",
+            "summary",
+            "per-request coalesce stage latency",
+        ),
+        (
+            "serve_stage_score",
+            "summary",
+            "per-request score stage latency",
+        ),
+        (
+            "serve_stage_merge",
+            "summary",
+            "per-request merge stage latency",
+        ),
+        (
+            "serve_stage_reply",
+            "summary",
+            "per-request reply stage latency",
+        ),
+        (
+            "serve_request_e2e",
+            "summary",
+            "per-request end-to-end latency (enqueue to reply)",
+        ),
+        (
+            "serve_batch_latency",
+            "summary",
+            "per-micro-batch scoring wall time",
+        ),
+        (
+            "serve_delta_publish",
+            "summary",
+            "publisher-side snapshot/delta publish latency",
+        ),
+        (
+            "serve_freshness",
+            "summary",
+            "rating ingest to first reflecting snapshot publish",
+        ),
+        (
+            "serve_rerank",
+            "summary",
+            "per-batch exact-f32 rerank pass latency (inside Score)",
+        ),
+        // Added when the metric set became one declaration: the two batch
+        // fields that were report-only before.
+        (
+            "serve_batch_items",
+            "counter",
+            "requests across all micro-batches",
+        ),
+        (
+            "serve_batch_size_1",
+            "counter",
+            "micro-batches of 1 requests",
+        ),
+        (
+            "serve_batch_size_2to3",
+            "counter",
+            "micro-batches of 2to3 requests",
+        ),
+        (
+            "serve_batch_size_4to7",
+            "counter",
+            "micro-batches of 4to7 requests",
+        ),
+        (
+            "serve_batch_size_8to15",
+            "counter",
+            "micro-batches of 8to15 requests",
+        ),
+        (
+            "serve_batch_size_16to31",
+            "counter",
+            "micro-batches of 16to31 requests",
+        ),
+        (
+            "serve_batch_size_32to63",
+            "counter",
+            "micro-batches of 32to63 requests",
+        ),
+        (
+            "serve_batch_size_64to127",
+            "counter",
+            "micro-batches of 64to127 requests",
+        ),
+        (
+            "serve_batch_size_128up",
+            "counter",
+            "micro-batches of 128up requests",
+        ),
+    ];
+
+    /// Sorted JSON keys and sorted `# HELP`/`# TYPE` lines of an export.
+    fn export_contract(e: &cumf_obs::Exporter) -> (Vec<String>, Vec<String>) {
+        let json = e.to_json();
+        let mut keys: Vec<String> = json[1..json.len() - 1]
+            .split(',')
+            .map(|kv| kv.split(':').next().unwrap().trim_matches('"').to_string())
+            .collect();
+        let mut lines: Vec<String> = e
+            .to_prometheus()
+            .lines()
+            .filter(|l| l.starts_with("# "))
+            .map(String::from)
+            .collect();
+        keys.sort();
+        lines.sort();
+        (keys, lines)
+    }
+
+    /// The same view spelled out from a `(name, TYPE, help)` table: a
+    /// summary exports the seven fixed histogram keys, anything else one key.
+    fn expected_contract(table: &[(&str, &str, &str)]) -> (Vec<String>, Vec<String>) {
+        let (mut keys, mut lines) = (Vec::new(), Vec::new());
+        for &(name, kind, help) in table {
+            if kind == "summary" {
+                for suffix in [
+                    "count", "sum_ns", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns",
+                ] {
+                    keys.push(format!("{name}_{suffix}"));
+                }
+            } else {
+                keys.push(name.to_string());
+            }
+            lines.push(format!("# HELP {name} {help}"));
+            lines.push(format!("# TYPE {name} {kind}"));
+        }
+        keys.sort();
+        lines.sort();
+        (keys, lines)
+    }
+
+    #[test]
+    fn exporter_key_contract_is_pinned() {
+        let m = ServeMetrics::new();
+        m.requests.inc();
+        m.responses.inc();
+        m.cache_hits.inc();
+        m.cache_misses.inc();
+        m.record_batch(3, Duration::from_micros(40));
+        m.record_queue_enter();
+        m.record_queue_exit();
+        m.snapshot_swaps.inc();
+        m.delta_publishes.inc();
+        m.item_compactions.inc();
+        m.worker_panics.inc();
+        m.worker_restarts.inc();
+        m.record_pruning(&PruneStats {
+            blocks_scored: 4,
+            blocks_pruned: 2,
+            blocks_terminated: 1,
+            bytes_scanned: 512,
+            rerank_candidates: 6,
+            ..Default::default()
+        });
+        m.approx_requests.inc();
+        for stage in Stage::ALL {
+            m.record_stage_ns(stage, 1_000);
+        }
+        m.request_e2e.record_ns(5_000);
+        m.publish_latency.record(Duration::from_micros(7));
+        m.freshness.record_ns(9_000);
+        m.rerank.record_ns(2_000);
+        let r = m.report();
+        assert_eq!(
+            export_contract(&r.exporter()),
+            expected_contract(SERVE_EXPORT_CONTRACT)
+        );
     }
 }

@@ -314,7 +314,7 @@ impl<'a> OnlineLoop<'a> {
         let published_at = Instant::now();
         for event in &batch.events {
             let age = published_at.saturating_duration_since(event.ingested_at);
-            self.metrics.record_freshness_ns(age.as_nanos() as u64);
+            self.metrics.freshness.record_ns(age.as_nanos() as u64);
         }
 
         self.report.events += entries.len() as u64;
