@@ -26,7 +26,7 @@ pub fn mean_rating(r: &Csr) -> f32 {
 
 /// Random factor initialization whose initial predictions center on `mean`:
 /// entries uniform in `[0, 2·√(mean/f))`, so `E[x·θ] = mean`.  The SGD-style
-/// baselines (libMF, NOMAD, HOGWILD!, CCD++) start this way — as the real
+/// baselines (libMF, NOMAD, CCD++) start this way — as the real
 /// libMF does — because gradient steps close the gap to the rating mean
 /// slowly, unlike an ALS sweep which jumps there in one solve.
 pub fn init_factors_to_mean(n: usize, f: usize, seed: u64, mean: f32) -> FactorMatrix {

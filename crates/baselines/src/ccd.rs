@@ -8,6 +8,7 @@
 //! trade-off §6.2 of the cuMF paper describes).
 
 use crate::als_util;
+use cumf_core::engine::check_factor_shapes;
 use cumf_core::{Engine, TrainMetrics};
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{Csc, Csr, Entry};
@@ -186,14 +187,7 @@ impl Engine for CcdPlusPlus {
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.x.len(), "X has the wrong number of rows");
-        assert_eq!(
-            theta.len(),
-            self.theta.len(),
-            "Θ has the wrong number of rows"
-        );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
+        check_factor_shapes(&x, &theta, self.x.len(), self.theta.len(), self.config.f);
         self.x = x;
         self.theta = theta;
         // The residual caches r − XΘᵀ, so replacing the factors invalidates

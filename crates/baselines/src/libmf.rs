@@ -7,8 +7,10 @@
 //! rotations and therefore visits every rating exactly once.
 
 use crate::als_util;
+use cumf_core::engine::check_factor_shapes;
+use cumf_core::sgd::{epoch_alpha, step};
 use cumf_core::{Engine, TrainMetrics};
-use cumf_linalg::blas::dot;
+use cumf_data::shuffle;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{split_ranges, Csr, Entry};
 use rand::prelude::*;
@@ -91,13 +93,8 @@ impl LibMfSgd {
         }
         // Shuffle each block once so SGD does not sweep in row-major order.
         let mut rng = StdRng::seed_from_u64(config.seed);
-        for row in &mut blocks {
-            for block in row {
-                for i in (1..block.len()).rev() {
-                    let j = rng.random_range(0..=i);
-                    block.swap(i, j);
-                }
-            }
+        for block in blocks.iter_mut().flatten() {
+            shuffle(block, &mut rng);
         }
 
         let mean = als_util::mean_rating(r);
@@ -145,7 +142,7 @@ impl LibMfSgd {
     pub fn epoch(&mut self) {
         let t = self.grid_dim();
         let f = self.config.f;
-        let alpha = self.config.learning_rate * self.config.decay.powi(self.epoch as i32);
+        let alpha = epoch_alpha(self.config.learning_rate, self.config.decay, self.epoch);
         let lambda = self.config.lambda;
 
         for s in 0..t {
@@ -166,15 +163,13 @@ impl LibMfSgd {
                         for rating in block {
                             let xo = rating.row as usize * f;
                             let to = rating.col as usize * f;
-                            let xu = &mut x_chunk[xo..xo + f];
-                            let tv = &mut theta_chunk[to..to + f];
-                            let err = rating.val - dot(xu, tv);
-                            for k in 0..f {
-                                let xk = xu[k];
-                                let tk = tv[k];
-                                xu[k] = xk + alpha * (err * tk - lambda * xk);
-                                tv[k] = tk + alpha * (err * xk - lambda * tk);
-                            }
+                            step(
+                                &mut x_chunk[xo..xo + f],
+                                &mut theta_chunk[to..to + f],
+                                rating.val,
+                                alpha,
+                                lambda,
+                            );
                         }
                     });
                 }
@@ -203,14 +198,7 @@ impl Engine for LibMfSgd {
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.x.len(), "X has the wrong number of rows");
-        assert_eq!(
-            theta.len(),
-            self.theta.len(),
-            "Θ has the wrong number of rows"
-        );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
+        check_factor_shapes(&x, &theta, self.x.len(), self.theta.len(), self.config.f);
         self.x = x;
         self.theta = theta;
     }

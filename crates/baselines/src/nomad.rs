@@ -12,8 +12,9 @@
 
 use crate::als_util;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use cumf_core::engine::check_factor_shapes;
+use cumf_core::sgd::{epoch_alpha, step};
 use cumf_core::{Engine, TrainMetrics};
-use cumf_linalg::blas::dot;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{split_ranges, Csc, Csr, Entry};
 use rand::prelude::*;
@@ -128,7 +129,7 @@ impl NomadSgd {
     pub fn epoch(&mut self) {
         let workers = self.n_workers();
         let f = self.config.f;
-        let alpha = self.config.learning_rate * self.config.decay.powi(self.epoch as i32);
+        let alpha = epoch_alpha(self.config.learning_rate, self.config.decay, self.epoch);
         let lambda = self.config.lambda;
 
         // Ring channels plus a collector for finished tokens.
@@ -178,13 +179,13 @@ impl NomadSgd {
                         let ratings = &data.ratings_by_col[token.col as usize];
                         for &(local_row, val) in ratings {
                             let xo = local_row as usize * f;
-                            let xu = &mut x_chunk[xo..xo + f];
-                            let err = val - dot(xu, &token.theta_v);
-                            for (x_k, t_k) in xu.iter_mut().zip(token.theta_v.iter_mut()) {
-                                let (xk, tk) = (*x_k, *t_k);
-                                *x_k = xk + alpha * (err * tk - lambda * xk);
-                                *t_k = tk + alpha * (err * xk - lambda * tk);
-                            }
+                            step(
+                                &mut x_chunk[xo..xo + f],
+                                &mut token.theta_v,
+                                val,
+                                alpha,
+                                lambda,
+                            );
                         }
                         token.hops += 1;
                         if token.hops >= workers {
@@ -231,14 +232,7 @@ impl Engine for NomadSgd {
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.x.len(), "X has the wrong number of rows");
-        assert_eq!(
-            theta.len(),
-            self.theta.len(),
-            "Θ has the wrong number of rows"
-        );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
+        check_factor_shapes(&x, &theta, self.x.len(), self.theta.len(), self.config.f);
         self.x = x;
         self.theta = theta;
     }

@@ -9,6 +9,7 @@
 
 use crate::als_util;
 use cumf_core::als::kernels::solve_side;
+use cumf_core::engine::check_factor_shapes;
 use cumf_core::{Engine, TrainMetrics};
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{horizontal_partition, Csr, Entry, SparseBlock};
@@ -143,14 +144,7 @@ impl Engine for Pals {
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.x.len(), "X has the wrong number of rows");
-        assert_eq!(
-            theta.len(),
-            self.theta.len(),
-            "Θ has the wrong number of rows"
-        );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
+        check_factor_shapes(&x, &theta, self.x.len(), self.theta.len(), self.config.f);
         self.x = x;
         self.theta = theta;
     }

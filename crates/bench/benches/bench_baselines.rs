@@ -5,12 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cumf_baselines::ccd::CcdConfig;
-use cumf_baselines::hogwild::HogwildConfig;
 use cumf_baselines::libmf::LibMfConfig;
 use cumf_baselines::nomad::NomadConfig;
 use cumf_baselines::pals::PalsConfig;
 use cumf_baselines::spark_als::SparkAlsConfig;
-use cumf_baselines::{CcdPlusPlus, Engine, HogwildSgd, LibMfSgd, NomadSgd, Pals, SparkAlsStyle};
+use cumf_baselines::{CcdPlusPlus, Engine, LibMfSgd, NomadSgd, Pals, SparkAlsStyle};
+use cumf_core::sgd::{SgdConfig, SgdEngine};
 use cumf_data::synth::SyntheticConfig;
 use cumf_sparse::Csr;
 use std::hint::black_box;
@@ -46,14 +46,15 @@ fn bench_sgd_baselines(c: &mut Criterion) {
             black_box(s.x().data()[0]);
         });
     });
+    // HOGWILD! is the core `SgdEngine`: lock-free epochs over atomic rows.
     group.bench_function("hogwild_sgd", |b| {
         b.iter(|| {
-            let mut s = HogwildSgd::new(
-                HogwildConfig {
+            let mut s = SgdEngine::new(
+                SgdConfig {
                     f: 32,
                     ..Default::default()
                 },
-                &r,
+                r.clone(),
             );
             s.train_sweep();
             black_box(s.x().data()[0]);

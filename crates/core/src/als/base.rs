@@ -7,6 +7,7 @@
 
 use crate::als::kernels::solve_side;
 use crate::config::AlsConfig;
+use crate::engine::check_factor_shapes;
 use crate::instrument::TrainMetrics;
 use crate::loss;
 use cumf_linalg::FactorMatrix;
@@ -75,18 +76,13 @@ impl BaseAls {
 
     /// Replaces the current factors (used to resume from a checkpoint).
     pub fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(
-            x.len(),
+        check_factor_shapes(
+            &x,
+            &theta,
             self.r.n_rows() as usize,
-            "X has the wrong number of rows"
-        );
-        assert_eq!(
-            theta.len(),
             self.r.n_cols() as usize,
-            "Θ has the wrong number of rows"
+            self.config.f,
         );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
         self.x = x;
         self.theta = theta;
     }

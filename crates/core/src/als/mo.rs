@@ -17,6 +17,7 @@
 
 use crate::als::kernels::solve_side;
 use crate::config::{AlsConfig, MemoryOptConfig};
+use crate::engine::check_factor_shapes;
 use crate::instrument::TrainMetrics;
 use crate::loss;
 use cumf_gpu_sim::occupancy::{mo_als_regs_per_thread, mo_als_shared_bytes};
@@ -274,14 +275,13 @@ impl MoAlsEngine {
 
     /// Replaces the current factors (used to resume from a checkpoint).
     pub fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.r.n_rows() as usize, "X row count mismatch");
-        assert_eq!(
-            theta.len(),
+        check_factor_shapes(
+            &x,
+            &theta,
+            self.r.n_rows() as usize,
             self.r.n_cols() as usize,
-            "Θ row count mismatch"
+            self.config.f,
         );
-        assert_eq!(x.rank(), self.config.f, "X rank mismatch");
-        assert_eq!(theta.rank(), self.config.f, "Θ rank mismatch");
         self.x = x;
         self.theta = theta;
     }

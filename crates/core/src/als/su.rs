@@ -19,6 +19,7 @@
 use crate::als::kernels::{accumulate_partials, finalize_and_solve, partial_hermitians};
 use crate::als::mo::{batch_solve_traffic, get_hermitian_traffic};
 use crate::config::AlsConfig;
+use crate::engine::check_factor_shapes;
 use crate::instrument::TrainMetrics;
 use crate::loss;
 use crate::planner::{self, PartitionPlan, ProblemDims};
@@ -191,14 +192,13 @@ impl SuAlsEngine {
 
     /// Replaces the current factors (used to resume from a checkpoint).
     pub fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.r.n_rows() as usize, "X row count mismatch");
-        assert_eq!(
-            theta.len(),
+        check_factor_shapes(
+            &x,
+            &theta,
+            self.r.n_rows() as usize,
             self.r.n_cols() as usize,
-            "Θ row count mismatch"
+            self.config.als.f,
         );
-        assert_eq!(x.rank(), self.config.als.f, "X rank mismatch");
-        assert_eq!(theta.rank(), self.config.als.f, "Θ rank mismatch");
         self.x = x;
         self.theta = theta;
     }

@@ -80,6 +80,27 @@ pub trait Engine {
     fn train_rmse(&self) -> f64;
 }
 
+/// The shape check behind every fixed-shape [`Engine::set_factors`]: `x`
+/// must have `n_users` rows, `theta` must have `n_items` rows, and both
+/// must have rank `f`.
+///
+/// # Panics
+/// Panics with "X has the wrong number of rows", "Θ has the wrong number
+/// of rows", "X has the wrong rank" or "Θ has the wrong rank", checked in
+/// that order.
+pub fn check_factor_shapes(
+    x: &FactorMatrix,
+    theta: &FactorMatrix,
+    n_users: usize,
+    n_items: usize,
+    f: usize,
+) {
+    assert_eq!(x.len(), n_users, "X has the wrong number of rows");
+    assert_eq!(theta.len(), n_items, "Θ has the wrong number of rows");
+    assert_eq!(x.rank(), f, "X has the wrong rank");
+    assert_eq!(theta.rank(), f, "Θ has the wrong rank");
+}
+
 /// An [`Engine`] that supports the online loop: solving new-or-updated
 /// users against its frozen `Θ` for serving-side delta publication, without
 /// retraining.
@@ -174,11 +195,23 @@ mod tests {
         let r = ratings();
         for mut engine in engines(&r) {
             let before = engine.train_rmse();
-            let mut sim = 0.0;
-            for _ in 0..3 {
+            let x0 = engine.x().clone();
+            let mut sim = engine.train_sweep();
+            assert!(
+                engine.x().max_abs_diff(&x0) > 0.0,
+                "{}: a sweep must move X",
+                engine.name()
+            );
+            for _ in 0..2 {
                 sim += engine.train_sweep();
             }
             let after = engine.train_rmse();
+            assert!(
+                engine.x().data().iter().all(|v| v.is_finite())
+                    && engine.theta().data().iter().all(|v| v.is_finite()),
+                "{}: factors must stay finite",
+                engine.name()
+            );
             assert!(
                 after < before,
                 "{}: training must reduce RMSE ({before} -> {after})",
@@ -209,6 +242,33 @@ mod tests {
                 "{}",
                 engine.name()
             );
+            let wrong_rank = |m: &FactorMatrix| FactorMatrix::zeros(m.len(), m.rank() + 1);
+            for (bad_x, bad_theta, expect) in [
+                (wrong_rank(&x), theta.clone(), "X has the wrong rank"),
+                (x.clone(), wrong_rank(&theta), "Θ has the wrong rank"),
+                (
+                    FactorMatrix::zeros(x.len() - 1, x.rank()),
+                    theta.clone(),
+                    "X has the wrong number of rows",
+                ),
+            ] {
+                let name = engine.name();
+                let msg = panic_message(|| engine.set_factors(bad_x, bad_theta));
+                assert!(msg.contains(expect), "{name}: {msg:?} lacks {expect:?}");
+            }
+        }
+    }
+
+    /// Runs `f`, which must panic, and returns its panic message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a panic");
+        match payload.downcast_ref::<&str>() {
+            Some(msg) => msg.to_string(),
+            None => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default(),
         }
     }
 

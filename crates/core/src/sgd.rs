@@ -1,15 +1,22 @@
-//! Stochastic gradient descent reference (equation (4) of the paper).
+//! Stochastic gradient descent (equation (4) of the paper).
 //!
 //! cuMF deliberately chooses ALS over SGD because SGD's updates to the same
 //! row conflict and are hard to spread over thousands of GPU cores (§2.1).
-//! This sequential SGD exists as a numerical reference: tests use it to
-//! confirm that ALS reaches comparable training error in far fewer
-//! iterations, and the baseline crate builds its parallel SGD variants on
-//! the same update rule.
+//! Every SGD engine in the workspace runs the one update [`step`] at the
+//! learning rate [`epoch_alpha`]; what sets them apart is only the schedule
+//! that decides which rating is visited when, and by which thread:
+//!
+//! * [`SgdReference`] — a shuffled sequential pass, the numerical ground
+//!   truth tests compare ALS against;
+//! * [`SgdEngine`] — HOGWILD!-style lock-free parallel epochs over shared
+//!   atomic factors, plus streamed-rating absorption for the online loop;
+//! * `cumf-baselines`' libMF (blocked grid of conflict-free blocks) and
+//!   NOMAD (item columns circulating between workers as tokens).
 
 use crate::engine::{Engine, IncrementalEngine};
 use crate::instrument::TrainMetrics;
 use crate::loss;
+use cumf_data::shuffle;
 use cumf_linalg::blas::dot;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{Csr, Entry};
@@ -17,6 +24,29 @@ use rand::prelude::*;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+
+/// Ratings one parallel task of an [`SgdEngine`] epoch visits with one
+/// pair of scratch rows.
+const EPOCH_CHUNK: usize = 1024;
+
+/// One SGD update for the rating `r` of user row `xu` and item row `tv`
+/// (equation (4)): with `err = r − xu·tv`, `xu += α(err·tv − λ·xu)` and
+/// `tv += α(err·xu − λ·tv)`, both right-hand sides read before either row
+/// changes.
+#[inline]
+pub fn step(xu: &mut [f32], tv: &mut [f32], r: f32, alpha: f32, lambda: f32) {
+    let err = r - dot(xu, tv);
+    let update = |own: f32, other: f32| own + alpha * (err * other - lambda * own);
+    for (x, t) in xu.iter_mut().zip(tv.iter_mut()) {
+        (*x, *t) = (update(*x, *t), update(*t, *x));
+    }
+}
+
+/// The learning rate of epoch `epoch`: `learning_rate · decay^epoch`.
+#[inline]
+pub fn epoch_alpha(learning_rate: f32, decay: f32, epoch: usize) -> f32 {
+    learning_rate * decay.powi(epoch as i32)
+}
 
 /// Hyper-parameters of the SGD reference.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,28 +115,18 @@ impl SgdReference {
     /// Runs one epoch (a shuffled pass over every rating) and returns the
     /// learning rate that was used.
     pub fn epoch(&mut self, epoch_index: usize) -> f32 {
-        let alpha = self.config.learning_rate * self.config.decay.powi(epoch_index as i32);
-        let lambda = self.config.lambda;
-        let f = self.config.f;
-
-        // Shuffle the visit order of all ratings.
-        let mut order: Vec<(u32, u32, f32)> =
-            self.r.iter().map(|e| (e.row, e.col, e.val)).collect();
+        let alpha = epoch_alpha(self.config.learning_rate, self.config.decay, epoch_index);
+        let mut order: Vec<Entry> = self.r.iter().collect();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ (epoch_index as u64 + 1));
-        for i in (1..order.len()).rev() {
-            let j = rng.random_range(0..=i);
-            order.swap(i, j);
-        }
-
-        for (u, v, r_uv) in order {
-            let (u, v) = (u as usize, v as usize);
-            let err = r_uv - dot(self.x.vector(u), self.theta.vector(v));
-            for k in 0..f {
-                let xu = self.x.vector(u)[k];
-                let tv = self.theta.vector(v)[k];
-                self.x.vector_mut(u)[k] = xu + alpha * (err * tv - lambda * xu);
-                self.theta.vector_mut(v)[k] = tv + alpha * (err * xu - lambda * tv);
-            }
+        shuffle(&mut order, &mut rng);
+        for e in order {
+            step(
+                self.x.vector_mut(e.row as usize),
+                self.theta.vector_mut(e.col as usize),
+                e.val,
+                alpha,
+                self.config.lambda,
+            );
         }
         alpha
     }
@@ -158,16 +178,6 @@ impl AtomicFactors {
         )
     }
 
-    #[inline]
-    fn load(&self, row: usize, k: usize) -> f32 {
-        f32::from_bits(self.data[row * self.f + k].load(Ordering::Relaxed)) // relaxed-ok: Hogwild! reads are racy by design; SGD tolerates stale components
-    }
-
-    #[inline]
-    fn store(&self, row: usize, k: usize, v: f32) {
-        self.data[row * self.f + k].store(v.to_bits(), Ordering::Relaxed); // relaxed-ok: Hogwild! lock-free write; lost updates are the algorithm's stated trade
-    }
-
     /// Appends `rows`, copying their values from `tail`.
     fn append(&mut self, tail: &FactorMatrix) {
         assert_eq!(tail.rank(), self.f, "appended rows have the wrong rank");
@@ -175,10 +185,21 @@ impl AtomicFactors {
             .extend(tail.data().iter().map(|&v| AtomicU32::new(v.to_bits())));
     }
 
+    fn row(&self, row: usize) -> &[AtomicU32] {
+        &self.data[row * self.f..(row + 1) * self.f]
+    }
+
     /// Copies one row out into `dst`.
     fn read_row_into(&self, row: usize, dst: &mut [f32]) {
-        for (k, slot) in dst.iter_mut().enumerate() {
-            *slot = self.load(row, k);
+        for (slot, a) in dst.iter_mut().zip(self.row(row)) {
+            *slot = f32::from_bits(a.load(Ordering::Relaxed)); // relaxed-ok: Hogwild! reads are racy by design; SGD tolerates stale components
+        }
+    }
+
+    /// Stores `src` into one row.
+    fn write_row(&self, row: usize, src: &[f32]) {
+        for (a, &v) in self.row(row).iter().zip(src) {
+            a.store(v.to_bits(), Ordering::Relaxed); // relaxed-ok: Hogwild! lock-free write; lost updates are the algorithm's stated trade
         }
     }
 }
@@ -211,11 +232,7 @@ impl SgdEngine {
         let theta =
             FactorMatrix::random(r.n_cols() as usize, config.f, scale, config.seed ^ 0xABCD);
         let mut entries: Vec<Entry> = r.iter().collect();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        for i in (1..entries.len()).rev() {
-            let j = rng.random_range(0..=i);
-            entries.swap(i, j);
-        }
+        shuffle(&mut entries, &mut StdRng::seed_from_u64(config.seed));
         Self {
             x_atomic: AtomicFactors::from_factor_matrix(&x),
             theta_atomic: AtomicFactors::from_factor_matrix(&theta),
@@ -231,7 +248,7 @@ impl SgdEngine {
 
     /// The learning rate the next update will use.
     pub fn alpha(&self) -> f32 {
-        self.config.learning_rate * self.config.decay.powi(self.epoch as i32)
+        epoch_alpha(self.config.learning_rate, self.config.decay, self.epoch)
     }
 
     /// Number of user rows currently held (grows as streamed ratings
@@ -260,22 +277,17 @@ impl SgdEngine {
         self.x_snapshot = FactorMatrix::from_vec(n, self.config.f, data);
     }
 
-    /// Applies one SGD step for a single rating against the atomic factors.
-    fn step(&self, u: usize, v: usize, val: f32, alpha: f32) {
-        let f = self.config.f;
-        let lambda = self.config.lambda;
-        let x = &self.x_atomic;
-        let theta = &self.theta_atomic;
-        let mut err = val;
-        for k in 0..f {
-            err -= x.load(u, k) * theta.load(v, k);
-        }
-        for k in 0..f {
-            let xk = x.load(u, k);
-            let tk = theta.load(v, k);
-            x.store(u, k, xk + alpha * (err * tk - lambda * xk));
-            theta.store(v, k, tk + alpha * (err * xk - lambda * tk));
-        }
+    /// Applies [`step`] for one rating to the atomic factors: copies both
+    /// rows into the caller's scratch, updates them there and stores them
+    /// back.  A racing thread's write between the copy and the store is
+    /// lost, which is the HOGWILD! trade.
+    fn step_shared(&self, e: &Entry, alpha: f32, xu: &mut [f32], tv: &mut [f32]) {
+        let (u, v) = (e.row as usize, e.col as usize);
+        self.x_atomic.read_row_into(u, xu);
+        self.theta_atomic.read_row_into(v, tv);
+        step(xu, tv, e.val, alpha, self.config.lambda);
+        self.x_atomic.write_row(u, xu);
+        self.theta_atomic.write_row(v, tv);
     }
 
     /// Absorbs a batch of streamed rating mutations: applies one SGD step
@@ -295,12 +307,13 @@ impl SgdEngine {
         let alpha = self.alpha();
         let mut users: Vec<u32> = Vec::with_capacity(batch.len());
         let mut items: Vec<u32> = Vec::with_capacity(batch.len());
+        let (mut xu, mut tv) = (vec![0.0; self.config.f], vec![0.0; self.config.f]);
         for e in batch {
             assert!(
                 (e.col as usize) < n_items,
                 "streamed rating item id out of range"
             );
-            self.step(e.row as usize, e.col as usize, e.val, alpha);
+            self.step_shared(e, alpha, &mut xu, &mut tv);
             users.push(e.row);
             items.push(e.col);
         }
@@ -308,7 +321,6 @@ impl SgdEngine {
         users.dedup();
         items.sort_unstable();
         items.dedup();
-        let f = self.config.f;
         for &u in &users {
             self.x_atomic
                 .read_row_into(u as usize, self.x_snapshot.vector_mut(u as usize));
@@ -317,7 +329,6 @@ impl SgdEngine {
             self.theta_atomic
                 .read_row_into(v as usize, self.theta_snapshot.vector_mut(v as usize));
         }
-        debug_assert_eq!(self.x_snapshot.rank(), f);
         // Streamed ratings join the training set so later sweeps keep them.
         self.entries.extend_from_slice(batch);
         users
@@ -327,8 +338,11 @@ impl SgdEngine {
     fn parallel_epoch(&mut self) {
         let alpha = self.alpha();
         let this = &*self;
-        self.entries.par_iter().for_each(|e| {
-            this.step(e.row as usize, e.col as usize, e.val, alpha);
+        self.entries.par_chunks(EPOCH_CHUNK).for_each(|chunk| {
+            let (mut xu, mut tv) = (vec![0.0; this.config.f], vec![0.0; this.config.f]);
+            for e in chunk {
+                this.step_shared(e, alpha, &mut xu, &mut tv);
+            }
         });
         self.epoch += 1;
         self.x_snapshot = self.x_atomic.to_factor_matrix();
@@ -409,6 +423,44 @@ mod tests {
         }
         .generate()
         .to_csr()
+    }
+
+    #[test]
+    fn step_is_equation_4_bit_for_bit() {
+        let x0 = [0.3f32, -1.25, 0.7, 2.0, -0.05];
+        let t0 = [1.1f32, 0.4, -0.9, 0.25, 3.5];
+        let (r, alpha, lambda) = (4.0f32, 0.03f32, 0.07f32);
+        // err = r − x·θ (with the f64-accumulated dot), then both rows
+        // move from their values before the step.
+        let err = r - x0
+            .iter()
+            .zip(&t0)
+            .map(|(&a, &b)| a as f64 * b as f64)
+            .sum::<f64>() as f32;
+        let mut want_x = x0;
+        let mut want_t = t0;
+        for k in 0..x0.len() {
+            want_x[k] = x0[k] + alpha * (err * t0[k] - lambda * x0[k]);
+            want_t[k] = t0[k] + alpha * (err * x0[k] - lambda * t0[k]);
+        }
+        let (mut xu, mut tv) = (x0, t0);
+        step(&mut xu, &mut tv, r, alpha, lambda);
+        assert_eq!(xu.map(f32::to_bits), want_x.map(f32::to_bits));
+        assert_eq!(tv.map(f32::to_bits), want_t.map(f32::to_bits));
+        assert_eq!(epoch_alpha(0.5, 0.9, 3), 0.5 * 0.9f32.powi(3));
+    }
+
+    #[test]
+    fn atomic_roundtrip_preserves_values() {
+        let m = FactorMatrix::random(7, 3, 1.0, 5);
+        let a = AtomicFactors::from_factor_matrix(&m);
+        assert_eq!(a.to_factor_matrix(), m);
+        let mut row = vec![0.0; 3];
+        a.read_row_into(4, &mut row);
+        assert_eq!(row, m.vector(4));
+        a.write_row(4, &[1.0, 2.0, 3.0]);
+        assert_eq!(a.to_factor_matrix().vector(4), &[1.0, 2.0, 3.0]);
+        assert_eq!(a.to_factor_matrix().vector(3), m.vector(3));
     }
 
     #[test]

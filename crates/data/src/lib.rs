@@ -15,7 +15,8 @@
 //!   that ALS/SGD convergence behaviour (what Figures 6–10 measure) is
 //!   realistic.  Convergence experiments run on a *scaled-down* instance of
 //!   each descriptor; timing is extrapolated analytically.
-//! * [`split`] — train/test splitting used for test-RMSE curves.
+//! * [`split`] — train/test splitting used for test-RMSE curves, and the
+//!   seeded [`shuffle`] behind every shuffled visit order.
 //! * [`stream`] — streaming rating ingestion for the online loop: the
 //!   [`stream::RatingStream`] sources (synthetic mutation stream, replay)
 //!   and the bounded [`stream::StreamBatcher`] that stamps ingest instants
@@ -30,7 +31,7 @@ pub mod synth;
 
 pub use datasets::{DatasetSpec, PaperDataset};
 pub use io::{read_csv_triplets, read_matrix_market, write_csv_triplets, write_matrix_market};
-pub use split::{train_test_split, TrainTest};
+pub use split::{shuffle, train_test_split, TrainTest};
 pub use stream::{
     BackpressurePolicy, MiniBatch, MutationStreamConfig, RatingEvent, RatingStream, ReplayStream,
     StreamBatcher, SyntheticMutationStream,

@@ -1,4 +1,5 @@
-//! Train/test splitting of a rating matrix.
+//! Train/test splitting of a rating matrix, and the one shuffle the
+//! generator and the SGD engines draw their visit orders from.
 //!
 //! The paper's convergence figures (6–10) plot *test* RMSE, so every
 //! convergence experiment holds out a fraction of the ratings before
@@ -59,6 +60,16 @@ pub fn train_test_split(ratings: &Coo, test_frac: f64, seed: u64) -> TrainTest {
     TrainTest {
         train: train.to_csr(),
         test,
+    }
+}
+
+/// Fisher–Yates shuffle: for `i` from the last index down to 1, swaps
+/// `items[i]` with `items[j]`, `j` drawn uniformly from `0..=i`.  A fixed
+/// seed gives a fixed permutation.
+pub fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+    for i in (1..items.len()).rev() {
+        let j = rng.random_range(0..=i);
+        items.swap(i, j);
     }
 }
 

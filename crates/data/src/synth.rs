@@ -13,6 +13,7 @@
 //!   stand-in is faithful to the paper's own methodology (§5.1).
 
 use crate::datasets::DatasetSpec;
+use crate::split::shuffle;
 use cumf_linalg::blas::dot;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{Coo, Csr};
@@ -202,11 +203,7 @@ impl SyntheticConfig {
             .map(|k| 1.0 / ((k + 1) as f64).powf(self.user_zipf))
             .collect();
         // Shuffle so user id does not encode activity.
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xA5A5);
-        for i in (1..m).rev() {
-            let j = rng.random_range(0..=i);
-            weights.swap(i, j);
-        }
+        shuffle(&mut weights, &mut StdRng::seed_from_u64(self.seed ^ 0xA5A5));
         let total: f64 = weights.iter().sum();
         weights
             .iter()
